@@ -42,12 +42,11 @@ compact transitions.
 Two batched layers sit on top of the scalar transitions for the
 structure-of-arrays kernel in :mod:`repro.sim.soa`:
 
-* :meth:`ReplacementPolicy.compact_on_access_batch` /
-  :meth:`ReplacementPolicy.compact_on_fill_batch` apply a *sequence* of
-  transitions to one set.  The defaults loop over the scalar hooks (so any
-  compact-capable policy is batchable); the built-ins override them with
-  true vector forms where the policy's math allows (e.g. LRU collapses a
-  batch to one tick bump plus a last-touch scatter).
+* :meth:`ReplacementPolicy.compact_on_access_batch` applies a *sequence*
+  of access transitions to one set.  The default loops over the scalar
+  hook (so any compact-capable policy is batchable); the built-ins override
+  it with true vector forms where the policy's math allows (e.g. LRU
+  collapses a batch to one tick bump plus a last-touch scatter).
 * The ``soa_*`` protocol describes how the SoA kernel may defer transitions
   across interleaved sets (see :attr:`ReplacementPolicy.soa_mode`).  For
   timestamp policies whose tick advances exactly once per access the
@@ -213,12 +212,6 @@ class ReplacementPolicy(abc.ABC):
         for way in ways:
             on_access(global_state, set_state, way)
 
-    def compact_on_fill_batch(self, global_state: list, set_state, ways) -> None:
-        """Apply ``compact_on_fill`` for every way in ``ways``, in order."""
-        on_fill = self.compact_on_fill
-        for way in ways:
-            on_fill(global_state, set_state, way)
-
     # -- structure-of-arrays deferral protocol (mode "position") ----------------
 
     def soa_tick_base(self) -> int:
@@ -380,10 +373,6 @@ class LRUPolicy(_PositionTickMixin, ReplacementPolicy):
         """Vector form: one tick bump plus a last-touch stamp per way."""
         _timestamp_batch(global_state, set_state, ways)
 
-    def compact_on_fill_batch(self, global_state: list, set_state, ways) -> None:
-        """Fills are uses, so the batch form is the same."""
-        _timestamp_batch(global_state, set_state, ways)
-
     def compact_victim(self, global_state: list, set_state, unchecked_reads) -> int:
         """The least recently used way (first one on timestamp ties)."""
         if type(set_state) is list:
@@ -441,10 +430,6 @@ class FIFOPolicy(ReplacementPolicy):
     def compact_on_access_batch(self, global_state: list, set_state, ways) -> None:
         """Vector form: accesses are no-ops, so a batch of them is too."""
 
-    def compact_on_fill_batch(self, global_state: list, set_state, ways) -> None:
-        """Vector form: one tick bump plus a last-fill stamp per way."""
-        _timestamp_batch(global_state, set_state, ways)
-
     def compact_victim(self, global_state: list, set_state, unchecked_reads) -> int:
         """The oldest fill (first one on timestamp ties)."""
         if type(set_state) is list:
@@ -473,9 +458,6 @@ class RandomPolicy(ReplacementPolicy):
 
     def compact_on_access_batch(self, global_state: list, set_state, ways) -> None:
         """Vector form: random replacement keeps no access state."""
-
-    def compact_on_fill_batch(self, global_state: list, set_state, ways) -> None:
-        """Vector form: random replacement keeps no fill state."""
 
     def export_global_state(self) -> list:
         """Snapshot the generator's bit-generator state (a plain dict)."""
@@ -564,10 +546,6 @@ class TreePLRUPolicy(ReplacementPolicy):
             if touched.size:
                 set_state[node] = bits[touched[-1]]
 
-    def compact_on_fill_batch(self, global_state: list, set_state, ways) -> None:
-        """Fills are uses, so the batch form is the same."""
-        self.compact_on_access_batch(global_state, set_state, ways)
-
     def compact_on_access(self, global_state: list, set_state, way: int) -> None:
         """Flip the tree bits along the accessed way's path."""
         associativity = self._associativity
@@ -639,10 +617,6 @@ class LERPolicy(_PositionTickMixin, ReplacementPolicy):
 
     def compact_on_access_batch(self, global_state: list, set_state, ways) -> None:
         """Vector form: one tick bump plus a last-touch stamp per way."""
-        _timestamp_batch(global_state, set_state, ways)
-
-    def compact_on_fill_batch(self, global_state: list, set_state, ways) -> None:
-        """Fills are uses, so the batch form is the same."""
         _timestamp_batch(global_state, set_state, ways)
 
     def compact_victim(self, global_state: list, set_state, unchecked_reads) -> int:

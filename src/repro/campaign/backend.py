@@ -5,7 +5,7 @@ back their results*.  Everything else — store caching, resumability,
 outcome ordering, reporting — lives in the runner, so backends compose with
 every store layout and every spec.  Jobs are deterministic, which gives the
 subsystem its core invariant: **the backend is never part of job identity**
-(like the engine/kernel choice), and every backend produces byte-identical
+(like the engine choice), and every backend produces byte-identical
 store entries.
 
 Three backends ship:

@@ -5,10 +5,8 @@ Public surface:
 * :func:`run_l2_trace` / :func:`run_cpu_trace` — drive a protected cache or
   the full hierarchy with a trace.  Both accept an ``engine`` argument
   selecting the per-record reference loop or the batched fast path
-  (:mod:`repro.sim.fastpath`), and a ``kernel`` argument selecting the fast
-  path's tier (the grouped ``"loop"`` kernel or the structure-of-arrays
-  ``"soa"`` kernel in :mod:`repro.sim.soa`); all combinations are
-  numerically identical.
+  (:mod:`repro.sim.fastpath`, replaying through the structure-of-arrays
+  kernel in :mod:`repro.sim.soa`); both engines are numerically identical.
 * :func:`run_l2_trace_fast` / :func:`run_cpu_trace_fast` /
   :func:`supports_fast_path` — the batched engines and their capability
   probe.
@@ -33,7 +31,6 @@ from .experiment import (
     sweep,
 )
 from .fastpath import (
-    KERNEL_CHOICES,
     replay_l2_segments,
     run_cpu_trace_fast,
     run_l2_trace_fast,
@@ -50,7 +47,6 @@ __all__ = [
     "run_cpu_trace_fast",
     "simulated_time_for",
     "ENGINE_CHOICES",
-    "KERNEL_CHOICES",
     "deduplicate_fallback_warnings",
     "ExperimentRunner",
     "ExperimentSettings",

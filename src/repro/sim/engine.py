@@ -158,7 +158,6 @@ def _run_l2_segmented(
     config: SimulationConfig | None,
     add_leakage: bool,
     engine: str,
-    kernel: str,
     segment_accesses: int,
 ) -> SchemeRunResult:
     """Segment-by-segment replay; bit-identical to the whole-trace paths."""
@@ -169,9 +168,7 @@ def _run_l2_segmented(
 
         supported, reason = supports_fast_path(cache)
         if engine == "fast" or supported:
-            total = replay_l2_segments(
-                cache, _trace_segments(trace, segment_accesses), kernel=kernel
-            )
+            total = replay_l2_segments(cache, _trace_segments(trace, segment_accesses))
             simulated_time = simulated_time_for(total, config)
             if add_leakage:
                 cache.add_leakage(simulated_time)
@@ -214,7 +211,6 @@ def run_l2_trace(
     config: SimulationConfig | None = None,
     add_leakage: bool = True,
     engine: str = "reference",
-    kernel: str = "auto",
     segment_accesses: int | None = None,
 ) -> SchemeRunResult:
     """Drive a protected L2 cache with an L2-level trace.
@@ -234,9 +230,6 @@ def run_l2_trace(
             is not fast-path capable), or ``"auto"`` to use the fast engine
             whenever it supports the cache and fall back otherwise.  Both
             engines produce numerically identical results.
-        kernel: Fast-path kernel tier (``"loop"``, ``"soa"`` or ``"auto"``);
-            ignored by the reference engine.  Kernels are bit-identical, so
-            the knob only affects throughput.
         segment_accesses: Replay segment length.  ``None`` (the default)
             replays an in-memory :class:`Trace` whole and a streaming
             source in segments of
@@ -259,7 +252,6 @@ def run_l2_trace(
             config,
             add_leakage,
             engine,
-            kernel,
             segment_accesses or DEFAULT_SEGMENT_ACCESSES,
         )
     if engine != "reference":
@@ -268,7 +260,7 @@ def run_l2_trace(
         supported, reason = supports_fast_path(cache)
         if engine == "fast" or supported:
             return run_l2_trace_fast(
-                cache, trace, config=config, add_leakage=add_leakage, kernel=kernel
+                cache, trace, config=config, add_leakage=add_leakage
             )
         _warn_auto_fallback(reason)
     config = config or SimulationConfig()
@@ -297,7 +289,6 @@ def run_cpu_trace(
     seed: int = 1,
     add_leakage: bool = True,
     engine: str = "reference",
-    kernel: str = "auto",
     artifact_cache=None,
 ) -> tuple[SchemeRunResult, CacheHierarchy]:
     """Drive the full two-level hierarchy with a CPU-level trace.
@@ -316,12 +307,10 @@ def run_cpu_trace(
             whenever it supports the L2 and fall back otherwise.  Both
             engines produce numerically identical results, including the L1
             contents and hierarchy statistics.
-        kernel: Fast-path kernel tier (``"loop"``, ``"soa"`` or ``"auto"``);
-            ignored by the reference engine.
         artifact_cache: Optional :class:`~repro.workloads.ArtifactCache`
-            (or directory spec) the fast SoA path consults for pre-filtered
-            L2 streams; ignored by the reference engine and the loop
-            kernel.  Results are bit-identical either way.
+            (or directory spec) the fast engine consults for pre-filtered
+            L2 streams; ignored by the reference engine.  Results are
+            bit-identical either way.
 
     Returns:
         A (result, hierarchy) pair; the hierarchy gives access to L1
@@ -339,7 +328,6 @@ def run_cpu_trace(
                 config=config,
                 seed=seed,
                 add_leakage=add_leakage,
-                kernel=kernel,
                 artifact_cache=artifact_cache,
             )
         _warn_auto_fallback(reason)

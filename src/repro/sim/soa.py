@@ -1,10 +1,8 @@
-"""Structure-of-arrays (SoA) replay kernel for the batched engines.
+"""Structure-of-arrays (SoA) replay kernel of the fast engine.
 
-This module is the second kernel tier of :mod:`repro.sim.fastpath`.  The
-first tier (the *loop* kernel, ``fastpath._replay``) already avoids the
-object path, but it still dispatches Python bytecode per access — and, for
-the multi-way schemes, per way.  The SoA kernel removes that by splitting
-the replay into two passes:
+:mod:`repro.sim.fastpath` validates and decodes a trace into NumPy columns
+and hands them to this module, which replays them without dispatching
+Python bytecode per way.  The replay is split into two passes:
 
 1. **Functional pass** (sequential, minimal): one lean Python loop decides
    hit/miss, victim and eviction for every access — the only genuinely
@@ -23,7 +21,7 @@ the replay into two passes:
    evicted-block exposures, the final per-block counters and the recency
    ticks without touching Python per access.
 
-Bit-identical by construction, like the loop kernel:
+Bit-identical to the reference engine by construction:
 
 * the per-access ones-count samples are drawn with
   :meth:`repro.core.DataValueProfile.sample_many`, which consumes the
@@ -32,8 +30,9 @@ Bit-identical by construction, like the loop kernel:
   order — the per-access addend sequences are reconstructed per accumulator
   and reduced with a seeded ``np.cumsum``, whose accumulation is
   sequential, so the final value is bitwise equal to the scalar loop's;
-* the deferred failure probabilities go through the same vectorised
-  binomial evaluation as the loop kernel (packed-key deduplication via
+* the deferred failure probabilities go through the vectorised binomial
+  evaluation of :mod:`repro.reliability.binomial`, element-for-element
+  identical to the scalar math (packed-key deduplication via
   :func:`repro.reliability.binomial.resolve_unique_keys`).
 
 The CPU-level entry (:func:`filter_through_l1_soa`) additionally
@@ -43,8 +42,8 @@ Python iteration instead of one per record, and the realised L2 stream is
 merged back in global order for the L2 replay above.
 
 The differential harness in ``tests/sim/test_engine_equivalence.py`` sweeps
-``kernel="loop"`` against ``kernel="soa"`` across every scheme, replacement
-policy and trace level to enforce all of this field by field.
+the fast engine against the reference engine across every scheme,
+replacement policy and trace level to enforce all of this field by field.
 """
 
 from __future__ import annotations
@@ -71,7 +70,8 @@ from ..reliability.binomial import (
 )
 from ..telemetry import span as telemetry_span
 
-#: Delivery-kind codes shared with the loop kernel.
+#: Delivery-kind codes of the deferred probability records; the fast path
+#: maps each scheme to one of the first three.
 _CONVENTIONAL, _REAP, _SERIAL, _WRITEBACK = 0, 1, 2, 3
 
 #: Policies whose SoA-mode shortcuts are maintained together with their
@@ -349,15 +349,16 @@ def replay_l2_soa(
 ) -> None:
     """Drive ``cache`` through the decoded stream with the SoA kernel.
 
-    Same contract as the loop kernel's ``_replay``: the cache ends in the
-    exact state the reference per-record loop would leave it in.
+    The cache ends in the exact state the reference per-record loop would
+    leave it in.
 
     Args:
         cache: A fast-path-capable :class:`~repro.core.ProtectedCache`.
         codes: Per-access kind codes (0 read, 1 write).
         set_indices: Per-access set indices.
         tags: Per-access tags.
-        scheme_mode: The loop kernel's delivery-kind code for the scheme.
+        scheme_mode: The delivery-kind code for the scheme (``_CONVENTIONAL``,
+            ``_REAP`` or ``_SERIAL``).
     """
     count = len(codes)
     if count == 0:
@@ -1191,9 +1192,9 @@ def replay_l2_soa(
 class _L1ReplaySoA:
     """Two-pass, run-length-aware replay of one functional (SRAM) L1 cache.
 
-    Equivalent to the loop kernel's per-record ``_L1Replay`` — same counters,
-    same block fields, same replacement transitions — but mirrors the L2
-    kernel's pass split:
+    Equivalent to :meth:`repro.cache.SetAssociativeCache.access` record by
+    record — same counters, same block fields, same replacement transitions
+    — but mirrors the L2 kernel's pass split:
 
     * **Pass 1** (:meth:`replay`, sequential) extracts runs of consecutive
       same-block references vectorised, then walks them with a lean loop
@@ -1208,9 +1209,9 @@ class _L1ReplaySoA:
       final recency tick of each frame the last tick-updating run that
       touched it.
 
-    Bit-identical to the old per-run loop: pass 1 performs the identical
-    policy calls at the identical points in the stream, and every pass-2
-    quantity is an integer reconstruction of the same arithmetic.
+    Bit-identical to a per-run loop: pass 1 performs the identical policy
+    calls at the identical points in the stream, and every pass-2 quantity
+    is an integer reconstruction of the same arithmetic.
     """
 
     __slots__ = (
@@ -1505,7 +1506,7 @@ class _L1ReplaySoA:
             stats.fills += n_miss
             # One data-array write per fill plus one per store, minus the
             # store folded into a write-allocate fill (same arithmetic as
-            # the loop kernel, summed instead of accumulated).
+            # the object path, summed instead of accumulated).
             stats.data_way_writes += demand_writes + n_miss - write_misses
 
             fills_l = np.bincount(
@@ -1664,8 +1665,8 @@ def _record_restores(
     """Rebuild the restore scheme's per-(read, way) rewrite stream.
 
     Every demand read restores all currently valid ways of its set — the
-    non-hit ways in ascending order, then the hit way.  The loop kernel
-    appends one ones count per restored way; this reconstructs the exact
+    non-hit ways in ascending order, then the hit way.  The reference loop
+    records one ones count per restored way; this reconstructs the exact
     same sequence from the frame event streams and records the write-failure
     probabilities in one batch.
     """

@@ -22,7 +22,6 @@ _PHASE_ORDER = (
     "kernel.segment",
     "kernel.decode",
     "kernel.l1_filter",
-    "kernel.replay",
     "kernel.pass1",
     "kernel.pass2",
     "reference.replay",
@@ -158,7 +157,9 @@ class TelemetryStats:
     counters: dict[str, tuple[int, float]] = field(default_factory=dict)
     #: gauge name -> (emit count, last value, min, max).
     gauges: dict[str, tuple[int, float, float, float]] = field(default_factory=dict)
-    #: (engine, kernel) label -> selection count, from ``sim.engine`` events.
+    #: engine name -> selection count, from ``sim.engine`` events (logs
+    #: written before the fast engine had one kernel may also carry a
+    #: ``kernel`` field, which is ignored).
     engine_selections: dict[str, int] = field(default_factory=dict)
     #: fallback reason -> occurrence count, from ``engine.fallback`` events.
     fallbacks: dict[str, int] = field(default_factory=dict)
@@ -245,9 +246,7 @@ class TelemetryAggregator:
         stats = self.stats
         if name == "sim.engine":
             engine = str(event.get("engine", "?"))
-            kernel = event.get("kernel")
-            label = f"{engine}/{kernel}" if kernel else engine
-            stats.engine_selections[label] = stats.engine_selections.get(label, 0) + 1
+            stats.engine_selections[engine] = stats.engine_selections.get(engine, 0) + 1
         elif name == "engine.fallback":
             reason = str(event.get("reason", "unspecified"))
             stats.fallbacks[reason] = stats.fallbacks.get(reason, 0) + 1
@@ -366,7 +365,7 @@ def render_telemetry_stats(stats: TelemetryStats) -> str:
             for label, count in sorted(stats.engine_selections.items())
         ]
         sections.append(
-            "engine selections\n" + format_table(["engine/kernel", "runs"], rows)
+            "engine selections\n" + format_table(["engine", "runs"], rows)
         )
 
     if stats.fallbacks:

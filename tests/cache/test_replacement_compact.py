@@ -262,27 +262,6 @@ class TestBatchedTransitions:
         assert_same_state(policy, scalar, batched)
 
     @pytest.mark.parametrize("policy", POLICIES)
-    @pytest.mark.parametrize("batch_size", (2, 40))
-    def test_fill_batch_matches_scalar_sequence(self, policy, batch_size):
-        scalar = build(policy, seed=23)
-        batched = build(policy, seed=23)
-        rng = random.Random(31)
-        for _ in range(8):
-            set_index = rng.randrange(NUM_SETS)
-            ways = [rng.randrange(ASSOC) for _ in range(batch_size)]
-            scalar_row = scalar.export_set_state(set_index)
-            batched_row = batched.export_set_state(set_index)
-            for way in ways:
-                scalar.compact_on_fill(scalar.compact_globals(), scalar_row, way)
-            batched.compact_on_fill_batch(
-                batched.compact_globals(), batched_row, ways
-            )
-            assert list(scalar_row) == list(batched_row), (policy, ways)
-            scalar.import_set_state(set_index, scalar_row)
-            batched.import_set_state(set_index, batched_row)
-        assert_same_state(policy, scalar, batched)
-
-    @pytest.mark.parametrize("policy", POLICIES)
     def test_mid_batch_export_import_round_trip(self, policy):
         """Splitting a batch around a round trip changes nothing."""
         whole = build(policy, seed=5)
@@ -309,7 +288,6 @@ class TestBatchedTransitions:
         before_globals = obj.export_global_state()
         row = obj.export_set_state(0)
         obj.compact_on_access_batch(obj.compact_globals(), row, [])
-        obj.compact_on_fill_batch(obj.compact_globals(), row, [])
         obj.import_set_state(0, row)
         assert obj.export_global_state() == before_globals
 

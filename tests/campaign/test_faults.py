@@ -22,6 +22,8 @@ from repro.campaign import (
     FaultPlan,
     FrameAuth,
     ResultStore,
+    ShardedResultStore,
+    TCPBackend,
     enable_faults_for_process,
     load_checkpoint,
     recover_pending_payloads,
@@ -405,6 +407,49 @@ class TestCheckpointResume:
             )
             with pytest.raises(CampaignError, match="failed on every attempt"):
                 list(resumed.results(timeout_s=10))
+
+    def test_resume_legacy_kernel_payloads_converges_byte_identical(self, tmp_path):
+        """A checkpoint whose payloads still carry ``"kernel": "loop"`` (as
+        coordinators persisted them while the fast engine had a kernel knob)
+        resumes, and the store converges to the serial run's exact bytes."""
+        from repro.campaign.execution import payload_for
+
+        spec = CampaignSpec(
+            name="legacy-checkpoint",
+            workloads=("gcc", "mcf"),
+            base_settings=fast_settings(num_accesses=400),
+        )
+        serial = ShardedResultStore(tmp_path / "serial", shard_width=1)
+        run_campaign(spec, store=serial, backend="serial")
+
+        checkpoint = tmp_path / "coordinator-checkpoint.json"
+        legacy = {
+            job.key: {**payload_for(job), "kernel": "loop"} for job in spec.jobs()
+        }
+        with Coordinator(checkpoint=checkpoint) as crashed:
+            crashed.submit(legacy)
+        persisted = load_checkpoint(checkpoint)["payloads"]
+        assert {p["kernel"] for p in persisted.values()} == {"loop"}
+
+        resumed = ShardedResultStore(tmp_path / "resumed", shard_width=1)
+        backend = TCPBackend(
+            lease_timeout_s=5.0, idle_timeout_s=120.0, checkpoint=checkpoint
+        )
+        assert backend.resume_from_checkpoint(resumed) == len(legacy)
+        worker = threading.Thread(
+            target=run_worker, args=(backend.address,), kwargs={"worker_id": "w"}
+        )
+        worker.start()
+        result = run_campaign(spec, store=resumed, backend=backend)
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert result.executed == len(spec.workloads)
+
+        serial.compact()
+        resumed.compact()
+        assert {p.name: p.read_bytes() for p in serial.shard_paths()} == {
+            p.name: p.read_bytes() for p in resumed.shard_paths()
+        }
 
     def test_resume_without_checkpoint_path_rejected(self):
         with Coordinator() as coordinator:

@@ -271,3 +271,11 @@ class TestEngineSwitch:
         reference = ExperimentRunner(["gcc"], settings=settings).run()
         fast = ExperimentRunner(["gcc"], settings=settings, engine="fast").run()
         assert reference == fast
+
+
+class TestPayloads:
+    def test_payload_names_engine_only(self):
+        from repro.campaign.execution import payload_for
+
+        payload = payload_for(small_spec().jobs()[0], engine="fast")
+        assert set(payload) == {"job", "engine"}

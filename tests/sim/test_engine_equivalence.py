@@ -41,6 +41,7 @@ from repro.workloads import (
     AccessKind,
     Trace,
     TraceRecord,
+    all_profiles,
     generate_l2_trace,
     get_profile,
     hot_loop_trace,
@@ -50,7 +51,6 @@ from repro.workloads import (
 )
 
 from equivalence_utils import (
-    EQUIVALENCE_KERNELS,
     EQUIVALENCE_POLICIES,
     EQUIVALENCE_SCHEMES,
     assert_caches_equivalent,
@@ -67,6 +67,21 @@ from equivalence_utils import (
 WORKLOADS = ("gcc", "mcf", "namd")
 SEEDS = (1, 7)
 TRACE_LENGTH = 3_000
+
+#: Every SPEC CPU2006 profile behind the paper's Fig. 5 / Fig. 6 suite.
+SUITE_PROFILES = tuple(profile.name for profile in all_profiles())
+
+#: L2 geometries beyond the default 64 KiB / 8-way / 64 B harness cache:
+#: the set-index and offset arithmetic, the per-set way count and the
+#: block-size-dependent bit counts all change between them.
+GEOMETRIES = {
+    "direct-mapped": dict(size_bytes=16 * 1024, associativity=1),
+    "2-way": dict(size_bytes=32 * 1024, associativity=2),
+    "16-way": dict(size_bytes=64 * 1024, associativity=16),
+    "64-way": dict(size_bytes=256 * 1024, associativity=64),
+    "32B-blocks": dict(size_bytes=32 * 1024, block_size_bytes=32),
+    "128B-blocks": dict(size_bytes=128 * 1024, block_size_bytes=128),
+}
 
 
 def profile_trace(workload: str, seed: int, config=None, length=TRACE_LENGTH) -> Trace:
@@ -95,26 +110,24 @@ def cpu_trace(seed: int, length: int = 4_000) -> Trace:
 
 
 class TestSchemeWorkloadSeedSweep:
-    """The headline sweep: kernels x schemes x workloads x seeds."""
+    """The headline sweep: schemes x workloads x seeds."""
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_engines_match(self, scheme, workload, seed, kernel):
+    def test_engines_match(self, scheme, workload, seed):
         trace = profile_trace(workload, seed)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            scheme, trace, seed=seed, kernel=kernel
+            scheme, trace, seed=seed
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
-    def test_restore_and_scheme_extras(self, scheme, kernel):
+    def test_restore_and_scheme_extras(self, scheme):
         trace = profile_trace("h264ref", 3)
         _, _, ref_cache, fast_cache = run_both_engines(
-            scheme, trace, seed=3, kernel=kernel
+            scheme, trace, seed=3
         )
         if scheme == "restore":
             assert ref_cache.restore_count == fast_cache.restore_count
@@ -129,36 +142,62 @@ class TestSchemeWorkloadSeedSweep:
         )
 
 
-class TestReplacementPolicyMatrix:
-    """Kernel x scheme x replacement-policy coverage over the compact state."""
+class TestFigureSuiteProfiles:
+    """Every profile the paper's figures replay, under every scheme."""
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
+    @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
+    @pytest.mark.parametrize("workload", SUITE_PROFILES)
+    def test_every_profile_every_scheme(self, workload, scheme):
+        trace = profile_trace(workload, 3, length=2_000)
+        reference, fast, ref_cache, fast_cache = run_both_engines(
+            scheme, trace, seed=3
+        )
+        assert_results_equivalent(reference, fast)
+        assert_caches_equivalent(ref_cache, fast_cache)
+
+
+class TestGeometryMatrix:
+    """Scheme x cache-geometry coverage."""
+
+    @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_geometries(self, geometry, scheme):
+        config = small_l2(**GEOMETRIES[geometry])
+        trace = profile_trace("omnetpp", 6, config=config, length=2_000)
+        reference, fast, ref_cache, fast_cache = run_both_engines(
+            scheme, trace, config=config, seed=6
+        )
+        assert_results_equivalent(reference, fast)
+        assert_caches_equivalent(ref_cache, fast_cache)
+
+
+class TestReplacementPolicyMatrix:
+    """Scheme x replacement-policy coverage over the compact state."""
+
     @pytest.mark.parametrize("policy", EQUIVALENCE_POLICIES)
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
-    def test_all_schemes_all_policies(self, scheme, policy, kernel):
+    def test_all_schemes_all_policies(self, scheme, policy):
         config = small_l2(replacement=policy)
         trace = profile_trace("mcf", 5, config=config)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            scheme, trace, config=config, seed=5, kernel=kernel
+            scheme, trace, config=config, seed=5
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
     @pytest.mark.parametrize("policy", EQUIVALENCE_POLICIES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_policies_across_seeds(self, policy, seed, kernel):
+    def test_policies_across_seeds(self, policy, seed):
         config = small_l2(replacement=policy)
         trace = profile_trace("gcc", seed, config=config)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            "reap", trace, config=config, seed=seed, kernel=kernel
+            "reap", trace, config=config, seed=seed
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
     @pytest.mark.parametrize("policy", ("random", "ler"))
-    def test_stateful_policies_on_warm_cache(self, policy, kernel):
+    def test_stateful_policies_on_warm_cache(self, policy):
         """Sequential runs continue the policy stream/tick identically."""
         config = small_l2(replacement=policy)
         first = profile_trace("gcc", 8, config=config, length=1_500)
@@ -166,9 +205,9 @@ class TestReplacementPolicyMatrix:
         ref_cache = build_cache("conventional", config=config, seed=8)
         fast_cache = build_cache("conventional", config=config, seed=8)
         run_l2_trace(ref_cache, first, engine="reference")
-        run_l2_trace(fast_cache, first, engine="fast", kernel=kernel)
+        run_l2_trace(fast_cache, first, engine="fast")
         reference = run_l2_trace(ref_cache, second, engine="reference")
-        fast = run_l2_trace(fast_cache, second, engine="fast", kernel=kernel)
+        fast = run_l2_trace(fast_cache, second, engine="fast")
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
@@ -176,38 +215,35 @@ class TestReplacementPolicyMatrix:
 class TestScrubbingScheme:
     """The patrol scrubber's cursor/credit replay, across rates."""
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
     @pytest.mark.parametrize("rate", (0.1, 0.25, 1 / 3, 1.0, 2.5))
-    def test_scrub_rates(self, rate, kernel):
+    def test_scrub_rates(self, rate):
         trace = profile_trace("xalancbmk", 6)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            "scrubbing", trace, seed=6, scrub_lines_per_access=rate, kernel=kernel
+            "scrubbing", trace, seed=6, scrub_lines_per_access=rate
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
         assert ref_cache.scrubbed_lines > 0
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
-    def test_zero_rate_never_scrubs(self, kernel):
+    def test_zero_rate_never_scrubs(self):
         trace = profile_trace("gcc", 2, length=1_000)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            "scrubbing", trace, seed=2, scrub_lines_per_access=0.0, kernel=kernel
+            "scrubbing", trace, seed=2, scrub_lines_per_access=0.0
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
         assert fast_cache.scrubbed_lines == 0
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
-    def test_warm_cache_continues_patrol(self, kernel):
+    def test_warm_cache_continues_patrol(self):
         """The cursor and fractional credit survive across segments."""
         first = profile_trace("gcc", 10, length=1_200)
         second = profile_trace("namd", 11, length=1_200)
         ref_cache = build_cache("scrubbing", seed=10, scrub_lines_per_access=0.7)
         fast_cache = build_cache("scrubbing", seed=10, scrub_lines_per_access=0.7)
         run_l2_trace(ref_cache, first, engine="reference")
-        run_l2_trace(fast_cache, first, engine="fast", kernel=kernel)
+        run_l2_trace(fast_cache, first, engine="fast")
         reference = run_l2_trace(ref_cache, second, engine="reference")
-        fast = run_l2_trace(fast_cache, second, engine="fast", kernel=kernel)
+        fast = run_l2_trace(fast_cache, second, engine="fast")
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
@@ -215,38 +251,47 @@ class TestScrubbingScheme:
 class TestHierarchyTraces:
     """run_cpu_trace equivalence: HierarchyStatistics and L1 contents too."""
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
-    def test_cpu_traces_all_schemes(self, scheme, kernel):
+    def test_cpu_traces_all_schemes(self, scheme):
         trace = cpu_trace(seed=1)
         reference, fast, ref_h, fast_h, ref_cache, fast_cache = run_both_cpu_engines(
-            scheme, trace, seed=1, kernel=kernel
+            scheme, trace, seed=1
         )
         assert_results_equivalent(reference, fast)
         assert_hierarchies_equivalent(ref_h, fast_h)
         assert_caches_equivalent(ref_cache, fast_cache)
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
     @pytest.mark.parametrize("l1_policy", EQUIVALENCE_POLICIES)
-    def test_cpu_traces_l1_policies(self, l1_policy, kernel):
+    def test_cpu_traces_l1_policies(self, l1_policy):
         sim_config = small_hierarchy_config(l1_replacement=l1_policy)
         trace = cpu_trace(seed=2)
         reference, fast, ref_h, fast_h, ref_cache, fast_cache = run_both_cpu_engines(
-            "reap", trace, sim_config=sim_config, seed=2, kernel=kernel
+            "reap", trace, sim_config=sim_config, seed=2
         )
         assert_results_equivalent(reference, fast)
         assert_hierarchies_equivalent(ref_h, fast_h)
         assert_caches_equivalent(ref_cache, fast_cache)
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
+    @pytest.mark.parametrize("l1_policy", EQUIVALENCE_POLICIES)
+    @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
+    def test_cpu_traces_scheme_by_l1_policy(self, scheme, l1_policy):
+        sim_config = small_hierarchy_config(l1_replacement=l1_policy)
+        trace = cpu_trace(seed=5, length=2_000)
+        reference, fast, ref_h, fast_h, ref_cache, fast_cache = run_both_cpu_engines(
+            scheme, trace, sim_config=sim_config, seed=5
+        )
+        assert_results_equivalent(reference, fast)
+        assert_hierarchies_equivalent(ref_h, fast_h)
+        assert_caches_equivalent(ref_cache, fast_cache)
+
     @pytest.mark.parametrize("l2_policy", ("fifo", "ler"))
-    def test_cpu_traces_l2_policies(self, l2_policy, kernel):
+    def test_cpu_traces_l2_policies(self, l2_policy):
         sim_config = small_hierarchy_config(
             l2_config=small_l2(replacement=l2_policy)
         )
         trace = cpu_trace(seed=3)
         reference, fast, ref_h, fast_h, ref_cache, fast_cache = run_both_cpu_engines(
-            "conventional", trace, sim_config=sim_config, seed=3, kernel=kernel
+            "conventional", trace, sim_config=sim_config, seed=3
         )
         assert_results_equivalent(reference, fast)
         assert_hierarchies_equivalent(ref_h, fast_h)
@@ -290,67 +335,61 @@ class TestHierarchyTraces:
 class TestConfigurationVariants:
     """Non-default configurations exercise every fast-path branch."""
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
-    def test_interleaved_multi_lane_ecc(self, scheme, kernel):
+    def test_interleaved_multi_lane_ecc(self, scheme):
         config = interleaved_l2()
         trace = profile_trace("namd", 2, config=config)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            scheme, trace, config=config, seed=2, kernel=kernel
+            scheme, trace, config=config, seed=2
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
-    def test_writeback_checks_counted(self, scheme, kernel):
+    def test_writeback_checks_counted(self, scheme):
         trace = profile_trace("xalancbmk", 4)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            scheme, trace, seed=4, count_writeback_checks=True, kernel=kernel
+            scheme, trace, seed=4, count_writeback_checks=True
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
-    def test_stochastic_data_profile(self, kernel):
+    def test_stochastic_data_profile(self):
         trace = profile_trace("gcc", 5)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            "reap", trace, seed=5, ones_count=None, kernel=kernel
+            "reap", trace, seed=5, ones_count=None
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
-    def test_tracking_disabled(self, kernel):
+    def test_tracking_disabled(self):
         trace = profile_trace("mcf", 6)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            "conventional", trace, seed=6, track_accumulation=False, kernel=kernel
+            "conventional", trace, seed=6, track_accumulation=False
         )
         assert ref_cache.tracker is None and fast_cache.tracker is None
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
-    def test_empty_trace(self, kernel):
+    def test_empty_trace(self):
         trace = Trace(name="empty")
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            "reap", trace, kernel=kernel
+            "reap", trace
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
         assert fast.num_accesses == 0
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
-    def test_sequential_runs_on_warm_cache(self, kernel):
+    def test_sequential_runs_on_warm_cache(self):
         """A second trace on an already-driven cache continues identically."""
         first = profile_trace("gcc", 8, length=1_500)
         second = profile_trace("mcf", 9, length=1_500)
         ref_cache = build_cache("reap", seed=8)
         fast_cache = build_cache("reap", seed=8)
         run_l2_trace(ref_cache, first, engine="reference")
-        run_l2_trace(fast_cache, first, engine="fast", kernel=kernel)
+        run_l2_trace(fast_cache, first, engine="fast")
         reference = run_l2_trace(ref_cache, second, engine="reference")
-        fast = run_l2_trace(fast_cache, second, engine="fast", kernel=kernel)
+        fast = run_l2_trace(fast_cache, second, engine="fast")
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
@@ -366,25 +405,6 @@ class TestConfigurationVariants:
         pure = run_l2_trace(reference_cache, second, engine="reference")
         assert_results_equivalent(pure, mixed)
         assert_caches_equivalent(reference_cache, mixed_cache)
-
-    def test_kernels_interchangeable_mid_stream(self):
-        """Loop and SoA segments can be freely mixed on one cache."""
-        first = profile_trace("namd", 10, length=1_500)
-        second = profile_trace("namd", 11, length=1_500)
-        mixed_cache = build_cache("reap", seed=10)
-        reference_cache = build_cache("reap", seed=10)
-        run_l2_trace(mixed_cache, first, engine="fast", kernel="soa")
-        mixed = run_l2_trace(mixed_cache, second, engine="fast", kernel="loop")
-        run_l2_trace(reference_cache, first, engine="reference")
-        pure = run_l2_trace(reference_cache, second, engine="reference")
-        assert_results_equivalent(pure, mixed)
-        assert_caches_equivalent(reference_cache, mixed_cache)
-
-    def test_unknown_kernel_rejected(self):
-        trace = profile_trace("gcc", 1, length=100)
-        cache = build_cache("reap", seed=1)
-        with pytest.raises(Exception, match="unknown kernel"):
-            run_l2_trace(cache, trace, engine="fast", kernel="vliw")
 
 
 class _CustomScheme(ConventionalCache):
@@ -512,14 +532,13 @@ class TestCustomPolicyOptIn:
         supported, reason = supports_fast_path(cache)
         assert supported is True and reason == ""
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
     @pytest.mark.parametrize("scheme", ("conventional", "reap"))
-    def test_opt_in_policy_is_replayed_identically(self, scheme, kernel):
+    def test_opt_in_policy_is_replayed_identically(self, scheme):
         trace = profile_trace("mcf", 7)
         ref_cache = _with_policy(build_cache(scheme, seed=7), _ThirdPartyAuditingLRU)
         fast_cache = _with_policy(build_cache(scheme, seed=7), _ThirdPartyAuditingLRU)
         reference = run_l2_trace(ref_cache, trace, engine="reference")
-        fast = run_l2_trace(fast_cache, trace, engine="fast", kernel=kernel)
+        fast = run_l2_trace(fast_cache, trace, engine="fast")
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
         # The object path audited its hooks; the batched engines bypass them
@@ -535,8 +554,7 @@ class TestCustomPolicyOptIn:
         assert supported is False
         assert "UnmarkedLRU" in reason
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
-    def test_compact_override_without_mode_declaration_stays_exact(self, kernel):
+    def test_compact_override_without_mode_declaration_stays_exact(self):
         """A subclass overriding a compact transition must not inherit the
         parent's SoA shortcuts: MRU below would be silently replayed as LRU
         if the kernel trusted the inherited position mode."""
@@ -552,12 +570,11 @@ class TestCustomPolicyOptIn:
         fast_cache = _with_policy(build_cache("reap", seed=5), MRUPolicy)
         assert supports_fast_path(fast_cache)[0] is True
         reference = run_l2_trace(ref_cache, trace, engine="reference")
-        fast = run_l2_trace(fast_cache, trace, engine="fast", kernel=kernel)
+        fast = run_l2_trace(fast_cache, trace, engine="fast")
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
-    def test_third_party_position_mode_policy(self, kernel):
+    def test_third_party_position_mode_policy(self):
         """A policy implementing the documented position protocol (without
         the built-ins' fused victim shortcut) replays exactly: the base
         class supplies ``soa_victim_positions`` via ``compact_victim``."""
@@ -575,7 +592,7 @@ class TestCustomPolicyOptIn:
         ref_cache = _with_policy(build_cache("reap", seed=6), DeclaredPositionLRU)
         fast_cache = _with_policy(build_cache("reap", seed=6), DeclaredPositionLRU)
         reference = run_l2_trace(ref_cache, trace, engine="reference")
-        fast = run_l2_trace(fast_cache, trace, engine="fast", kernel=kernel)
+        fast = run_l2_trace(fast_cache, trace, engine="fast")
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
@@ -656,10 +673,9 @@ class TestRandomizedTraces:
     re-eviction, full-set thrash, reads of never-written addresses.
     """
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
     @pytest.mark.parametrize("scheme", EQUIVALENCE_SCHEMES)
     @pytest.mark.parametrize("seed", (11, 12, 13))
-    def test_random_trace_equivalence(self, scheme, seed, kernel):
+    def test_random_trace_equivalence(self, scheme, seed):
         rng = random.Random(seed)
         config = small_l2()
         # A tight footprint (few sets, few tags) maximises conflicts.
@@ -676,7 +692,7 @@ class TestRandomizedTraces:
         trace = Trace(name=f"random-{seed}", records=records)
 
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            scheme, trace, seed=seed, kernel=kernel
+            scheme, trace, seed=seed
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
@@ -691,9 +707,8 @@ class TestRandomizedTraces:
             fast.leakage_energy_pj, rel=1e-12
         )
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
     @pytest.mark.parametrize("policy", EQUIVALENCE_POLICIES)
-    def test_random_trace_policy_equivalence(self, policy, kernel):
+    def test_random_trace_policy_equivalence(self, policy):
         rng = random.Random(31)
         config = small_l2(replacement=policy)
         records = []
@@ -707,14 +722,13 @@ class TestRandomizedTraces:
             records.append(TraceRecord(kind, address))
         trace = Trace(name=f"random-{policy}", records=records)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            "conventional", trace, config=config, seed=31, kernel=kernel
+            "conventional", trace, config=config, seed=31
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)
 
-    @pytest.mark.parametrize("kernel", EQUIVALENCE_KERNELS)
     @pytest.mark.parametrize("seed", (21, 22))
-    def test_random_wide_address_space(self, seed, kernel):
+    def test_random_wide_address_space(self, seed):
         """Sparse random addresses (mostly misses) stay equivalent too."""
         rng = random.Random(seed)
         records = [
@@ -726,7 +740,7 @@ class TestRandomizedTraces:
         ]
         trace = Trace(name=f"sparse-{seed}", records=records)
         reference, fast, ref_cache, fast_cache = run_both_engines(
-            "conventional", trace, seed=seed, kernel=kernel
+            "conventional", trace, seed=seed
         )
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(ref_cache, fast_cache)

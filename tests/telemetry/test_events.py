@@ -63,7 +63,7 @@ class TestScopedSession:
     def test_event_schema_reserved_keys(self):
         sink = MemorySink()
         with telemetry(sink, campaign="demo"):
-            emit_event("sim.engine", engine="fast", kernel="soa")
+            emit_event("sim.engine", engine="fast", path="l2")
         (event,) = sink.events
         assert event["kind"] == "event"
         assert event["name"] == "sim.engine"
@@ -71,7 +71,7 @@ class TestScopedSession:
         assert isinstance(event["pid"], int)
         # Session context and site fields ride along as flat keys.
         assert event["campaign"] == "demo"
-        assert event["engine"] == "fast" and event["kernel"] == "soa"
+        assert event["engine"] == "fast" and event["path"] == "l2"
 
     def test_counter_and_gauge_values(self):
         sink = MemorySink()

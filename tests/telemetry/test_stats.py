@@ -68,13 +68,13 @@ class TestEventAggregation:
     def test_engine_selections_and_fallbacks(self):
         stats = aggregate_telemetry(
             [
-                event("sim.engine", engine="fast", kernel="soa"),
-                event("sim.engine", engine="fast", kernel="soa"),
+                event("sim.engine", engine="fast", path="l2"),
+                event("sim.engine", engine="fast", path="cpu"),
                 event("sim.engine", engine="reference"),
                 event("engine.fallback", reason="numpy is unavailable"),
             ]
         )
-        assert stats.engine_selections == {"fast/soa": 2, "reference": 1}
+        assert stats.engine_selections == {"fast": 2, "reference": 1}
         assert stats.fallbacks == {"numpy is unavailable": 1}
 
     def test_campaign_jobs_split_cached_and_executed(self):
@@ -186,7 +186,7 @@ class TestRoundTripThroughFile:
         stats = load_telemetry_stats(path)
         assert stats.total_events == 5
         assert stats.spans[("kernel.replay", "reap")].count == 1
-        assert stats.engine_selections == {"fast/loop": 1}
+        assert stats.engine_selections == {"fast": 1}
         assert stats.campaign.jobs == 1 and stats.campaign.executed == 1
         assert stats.counters["net.frame"] == (1, 42.0)
 
@@ -200,7 +200,7 @@ class TestRendering:
                 span_event("campaign.run", 5.0),
                 span_event("job.execute", 2.0, accesses=10_000),
                 event("campaign.job", workload="gcc", cached=False),
-                event("sim.engine", engine="fast", kernel="soa"),
+                event("sim.engine", engine="fast", kernel="soa"),  # legacy field
                 event("engine.fallback", reason="numpy is unavailable"),
                 event("coordinator.lease_grant", worker="w1"),
                 event(
@@ -228,7 +228,8 @@ class TestRendering:
         ):
             assert heading in report, f"missing section {heading!r}"
         assert "kernel.pass1" in report and "reap" in report
-        assert "fast/soa" in report
+        selections = report.split("engine selections\n")[1].split("\n\n")[0]
+        assert "fast" in selections and "soa" not in selections
         assert "numpy is unavailable" in report
         assert "dispatch overhead s" in report
         assert "frames send" in report
@@ -251,7 +252,7 @@ class TestRendering:
         with telemetry(sink):
             emit_event("sim.engine", engine="fast", kernel="loop")
         stats = aggregate_telemetry(sink.events)
-        assert stats.engine_selections == {"fast/loop": 1}
+        assert stats.engine_selections == {"fast": 1}
 
 
 class TestArtifactCacheAggregation:

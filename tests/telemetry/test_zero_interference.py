@@ -76,7 +76,7 @@ class TestStoreByteIdentity:
         stats = aggregate_telemetry(sink.events)
         assert stats.campaign.runs == 1
         assert stats.campaign.executed == small_spec(("gcc",)).num_jobs
-        assert stats.engine_selections  # kernels reported which tier ran
+        assert stats.engine_selections  # the engines reported which one ran
         assert any(name.startswith("kernel.") for name, _ in stats.spans)
 
     def test_telemetry_events_never_reach_the_store(self, tmp_path):
@@ -112,22 +112,21 @@ class TestEngineResultIdentity:
             seed=1,
         )
 
-    def run_once(self, kernel, instrument, tmp_path, scheme="reap"):
+    def run_once(self, instrument, tmp_path, scheme="reap"):
         from equivalence_utils import build_cache
 
         trace = self.l2_trace()
         cache = build_cache(scheme)
         if instrument:
-            with telemetry(tmp_path / f"{kernel}.jsonl"):
-                return run_l2_trace(cache, trace, engine="fast", kernel=kernel)
-        return run_l2_trace(cache, trace, engine="fast", kernel=kernel)
+            with telemetry(tmp_path / "fast.jsonl"):
+                return run_l2_trace(cache, trace, engine="fast")
+        return run_l2_trace(cache, trace, engine="fast")
 
-    @pytest.mark.parametrize("kernel", ("loop", "soa"))
-    def test_fast_kernels_identical_with_telemetry_on(self, tmp_path, kernel):
+    def test_fast_engine_identical_with_telemetry_on(self, tmp_path):
         from equivalence_utils import assert_results_equivalent
 
-        plain = self.run_once(kernel, instrument=False, tmp_path=tmp_path)
-        instrumented = self.run_once(kernel, instrument=True, tmp_path=tmp_path)
+        plain = self.run_once(instrument=False, tmp_path=tmp_path)
+        instrumented = self.run_once(instrument=True, tmp_path=tmp_path)
         assert_results_equivalent(plain, instrumented)
 
     def test_reference_engine_identical_with_telemetry_on(self, tmp_path):
@@ -154,6 +153,6 @@ class TestEngineResultIdentity:
             reference_cache = build_cache("reap")
             fast_cache = build_cache("reap")
             reference = run_l2_trace(reference_cache, trace, engine="reference")
-            fast = run_l2_trace(fast_cache, trace, engine="fast", kernel="soa")
+            fast = run_l2_trace(fast_cache, trace, engine="fast")
         assert_results_equivalent(reference, fast)
         assert_caches_equivalent(reference_cache, fast_cache)
