@@ -155,6 +155,44 @@ class AddressMapper:
             | offset
         )
 
+    def compose_batch(self, tags, indices) -> np.ndarray:
+        """Rebuild many block addresses (offset 0) from tag and index arrays.
+
+        The inverse of :meth:`decompose_batch`: entry ``i`` equals
+        ``compose(tags[i], indices[i])``.  The range checks of
+        :meth:`compose` run once per batch, as a min/max test of each
+        column, before any address is built.
+
+        Raises:
+            AddressError: if the batch is empty, the columns differ in
+                length, or any tag or index is out of range for the
+                geometry (or for the ``int64`` address column).
+        """
+        shift = self._offset_bits + self._index_bits
+        try:
+            tag_array = np.asarray(tags, dtype=np.int64)
+            index_array = np.asarray(indices, dtype=np.int64)
+        except OverflowError as exc:
+            raise AddressError("tag or index out of range") from exc
+        if tag_array.size == 0:
+            raise AddressError("compose_batch needs at least one address")
+        if tag_array.shape != index_array.shape:
+            raise AddressError(
+                f"{tag_array.size} tags but {index_array.size} indices"
+            )
+        tag_limit = 1 << min(self._config.tag_bits, 63 - shift)
+        for name, column, limit in (
+            ("tag", tag_array, tag_limit),
+            ("index", index_array, self.num_sets),
+        ):
+            lowest = int(column.min())
+            if lowest < 0:
+                raise AddressError(f"{name} {lowest} out of range")
+            highest = int(column.max())
+            if highest >= limit:
+                raise AddressError(f"{name} {highest} out of range")
+        return (tag_array << shift) | (index_array << self._offset_bits)
+
     def block_address(self, address: int) -> int:
         """Return the address of the block containing ``address``."""
         return self.decompose(address).block_address

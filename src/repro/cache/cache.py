@@ -150,6 +150,15 @@ class SetAssociativeCache:
             raise CacheError(f"set index {index} out of range")
         return self._sets[index]
 
+    def is_pristine(self) -> bool:
+        """``True`` until the first access or set materialisation.
+
+        A pristine cache holds no valid block: what a deterministic
+        replacement policy decides from here on depends only on the
+        accesses that follow.
+        """
+        return self._tick == 0 and self._sets.count(None) == len(self._sets)
+
     def blocks_in_set(self, index: int) -> list[CacheBlock]:
         """Return the blocks of the set at ``index``."""
         return self.cache_set(index).blocks

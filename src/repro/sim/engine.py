@@ -159,6 +159,7 @@ def _run_l2_segmented(
     add_leakage: bool,
     engine: str,
     segment_accesses: int,
+    frame_memo=None,
 ) -> SchemeRunResult:
     """Segment-by-segment replay; bit-identical to the whole-trace paths."""
     config = config or SimulationConfig()
@@ -168,7 +169,9 @@ def _run_l2_segmented(
 
         supported, reason = supports_fast_path(cache)
         if engine == "fast" or supported:
-            total = replay_l2_segments(cache, _trace_segments(trace, segment_accesses))
+            total = replay_l2_segments(
+                cache, _trace_segments(trace, segment_accesses), frame_memo
+            )
             simulated_time = simulated_time_for(total, config)
             if add_leakage:
                 cache.add_leakage(simulated_time)
@@ -212,6 +215,7 @@ def run_l2_trace(
     add_leakage: bool = True,
     engine: str = "reference",
     segment_accesses: int | None = None,
+    frame_memo=None,
 ) -> SchemeRunResult:
     """Drive a protected L2 cache with an L2-level trace.
 
@@ -238,6 +242,10 @@ def run_l2_trace(
             whole-trace replay by construction, since all cache, policy,
             accumulator and energy state lives on the cache between
             segments.
+        frame_memo: Optional :class:`repro.sim.fastpath.FrameMemo` shared by
+            runs over the same trace; the fast engine reuses a memoised
+            functional pass when the cache starts empty.  Results are
+            identical with or without it; the reference engine ignores it.
 
     Returns:
         A :class:`SchemeRunResult` snapshot taken after the whole trace ran.
@@ -253,6 +261,7 @@ def run_l2_trace(
             add_leakage,
             engine,
             segment_accesses or DEFAULT_SEGMENT_ACCESSES,
+            frame_memo,
         )
     if engine != "reference":
         from .fastpath import run_l2_trace_fast, supports_fast_path
@@ -260,7 +269,11 @@ def run_l2_trace(
         supported, reason = supports_fast_path(cache)
         if engine == "fast" or supported:
             return run_l2_trace_fast(
-                cache, trace, config=config, add_leakage=add_leakage
+                cache,
+                trace,
+                config=config,
+                add_leakage=add_leakage,
+                frame_memo=frame_memo,
             )
         _warn_auto_fallback(reason)
     config = config or SimulationConfig()

@@ -161,6 +161,7 @@ def run_workload(
     sim_config: SimulationConfig | None = None,
     engine: str = "auto",
     artifact_cache=None,
+    frame_memo=None,
 ):
     """Run one (workload, scheme) pair and return (result, protected cache).
 
@@ -183,6 +184,8 @@ def run_workload(
         artifact_cache: Optional artifact-cache spec consulted when the
             trace is resolved here (see :func:`_resolve_trace`); results
             are byte-identical with the cache cold, warm or disabled.
+        frame_memo: Optional :class:`repro.sim.fastpath.FrameMemo` shared by
+            runs over the same trace (see :func:`repro.sim.run_l2_trace`).
     """
     settings = settings or ExperimentSettings()
     profile = get_profile(workload) if isinstance(workload, str) else workload
@@ -203,6 +206,7 @@ def run_workload(
         config=sim_config,
         engine=engine,
         segment_accesses=settings.segment_accesses,
+        frame_memo=frame_memo,
     )
     return result, cache
 
@@ -225,10 +229,20 @@ def compare_schemes(
     :func:`repro.sim.run_l2_trace`; results are numerically identical
     across engines, and ``artifact_cache`` (like the engine) is an
     operational knob that never changes results or identities.
+
+    The schemes also share one :class:`~repro.sim.fastpath.FrameMemo`, so
+    the fast engine's functional pass (identical for every scheme from an
+    empty LRU cache) runs once per comparison; with an artifact cache it is
+    persisted next to the trace and reused by later jobs of a sweep.
     """
+    from ..workloads.artifacts import ArtifactCache
+    from .fastpath import FrameMemo
+
     settings = settings or ExperimentSettings()
     profile = get_profile(workload) if isinstance(workload, str) else workload
+    artifact_cache = ArtifactCache.resolve(artifact_cache)
     trace = _resolve_trace(settings, profile, artifact_cache=artifact_cache)
+    frame_memo = FrameMemo(artifact_cache)
     baseline_result, _ = run_workload(
         profile,
         baseline,
@@ -236,6 +250,7 @@ def compare_schemes(
         trace=trace,
         sim_config=sim_config,
         engine=engine,
+        frame_memo=frame_memo,
     )
     alternative_results = []
     for scheme in alternatives:
@@ -246,6 +261,7 @@ def compare_schemes(
             trace=trace,
             sim_config=sim_config,
             engine=engine,
+            frame_memo=frame_memo,
         )
         alternative_results.append(result)
     return WorkloadComparison(

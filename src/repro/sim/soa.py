@@ -11,7 +11,11 @@ Python bytecode per way.  The replay is split into two passes:
    (:attr:`repro.cache.replacement.ReplacementPolicy.soa_mode`): timestamp
    policies collapse to one "last touch position" store per access,
    tree/stateless policies to a queued way, and unknown compact-capable
-   policies fall back to exact scalar calls.
+   policies fall back to exact scalar calls.  From an empty LRU cache the
+   pass's only sequential output is the frame each access lands in, which
+   does not depend on the scheme or any reliability parameter; with a
+   ``frame_memo`` that column is replayed once and everything else the
+   pass produces is derived from it vectorised.
 2. **Reliability/energy pass** (vectorised): with the per-access
    ``(way, miss, valid-count)`` columns known, every remaining quantity is
    closed-form over NumPy arrays.  Per-set read ranks turn the exposure
@@ -47,6 +51,8 @@ replacement policy and trace level to enforce all of this field by field.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -264,6 +270,20 @@ def _sequential_total(initial: float, values: np.ndarray, counts: np.ndarray) ->
     return sequential_float_sum(initial, np.repeat(values.ravel(), counts.ravel()))
 
 
+def _slot_values(count: int, *slots) -> np.ndarray:
+    """The (accesses x slots) addend matrix for :func:`_sequential_total`.
+
+    A scalar slot holds the same addend for every access; an array slot
+    holds one per access.
+    """
+    row = np.array([s if np.ndim(s) == 0 else 0.0 for s in slots], dtype=float)
+    values = np.tile(row, count).reshape(count, len(slots))
+    for column, slot in enumerate(slots):
+        if np.ndim(slot) != 0:
+            values[:, column] = slot
+    return values
+
+
 def _segment_last_where(flags: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Per segment, the last index where ``flags`` is set (-1 if none).
 
@@ -340,12 +360,104 @@ def resolve_probability_keys(
     return unique_probs[inverse]
 
 
+def frames_key(packed_keys: np.ndarray, num_sets: int, assoc: int) -> str:
+    """Content key of the frame column an empty LRU cache assigns a stream.
+
+    ``packed_keys`` are the per-access ``tag << index_bits | set`` keys.
+    From an empty cache, LRU's hit/miss and victim decisions read only this
+    sequence and the geometry — not the access kinds, the protection scheme
+    or any MTJ/ECC parameter — so the key is shared by every scheme and
+    every point of a reliability sweep over one stream.
+    """
+    digest = hashlib.blake2b(digest_size=20)
+    digest.update(np.array([num_sets, assoc], dtype=np.int64).tobytes())
+    digest.update(np.ascontiguousarray(packed_keys, dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+def _stable_argsort(values: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(values, kind="stable")`` for integers in ``[0, bound)``.
+
+    A stable order is unique, so narrowing small keys to ``uint16`` — which
+    NumPy sorts by radix, an order of magnitude faster than its int64
+    merge sort — returns the identical permutation.
+    """
+    if bound <= 1 << 16:
+        values = values.astype(np.uint16)
+    return np.argsort(values, kind="stable")
+
+
+def _frames_match(frames, set_indices: np.ndarray, assoc: int) -> bool:
+    """Whether a memoised frame column can belong to this stream."""
+    return (
+        isinstance(frames, np.ndarray)
+        and frames.ndim == 1
+        and len(frames) == len(set_indices)
+        and frames.dtype.kind in "iu"
+        and bool(np.all(frames // assoc == set_indices))
+        and bool(np.all(frames >= 0))
+    )
+
+
+def _functional_from_frames(
+    frames: np.ndarray, codes: np.ndarray, tags: np.ndarray, num_frames: int
+) -> tuple[np.ndarray, ...]:
+    """Everything the functional pass derives, given each access's frame.
+
+    Valid only for a replay that starts from an empty cache: a frame then
+    holds the block of its previous access, so an access misses exactly
+    when it is the first on its frame or its block differs from the
+    previous one there, and it evicts unless it is the first.  A frame is
+    dirty when any access since its last fill wrote.
+
+    Returns ``(miss, evicted, evict_dirty)`` per access, the accessed
+    frames with their final ``(tag, dirty, last position)``, and the free
+    fills' ``(position, frame)`` in stream order.
+    """
+    count = len(frames)
+    order = _stable_argsort(frames, num_frames)
+    f_s = frames[order]
+    t_s = tags[order]
+    w_s = np.asarray(codes)[order] != 0
+    first = np.empty(count, dtype=bool)
+    first[0] = True
+    np.not_equal(f_s[1:], f_s[:-1], out=first[1:])
+    miss_s = first.copy()
+    miss_s[1:] |= t_s[1:] != t_s[:-1]
+    # Writes per fill group (a miss and the hits that follow it on the
+    # frame): the group is dirty at position j when it wrote at or before j.
+    writes_cum = np.cumsum(w_s)
+    group = np.cumsum(miss_s) - 1
+    group_base = (writes_cum - w_s)[miss_s]
+    dirty_s = writes_cum > group_base[group]
+    evicted_s = miss_s & ~first
+    evict_dirty_s = np.zeros(count, dtype=bool)
+    evict_dirty_s[1:] = evicted_s[1:] & dirty_s[:-1]
+
+    miss = np.empty(count, dtype=bool)
+    evicted = np.empty(count, dtype=bool)
+    evict_dirty = np.empty(count, dtype=bool)
+    miss[order] = miss_s
+    evicted[order] = evicted_s
+    evict_dirty[order] = evict_dirty_s
+
+    last = np.empty(count, dtype=bool)
+    last[-1] = True
+    last[:-1] = first[1:]
+    final = (f_s[last], t_s[last], dirty_s[last], order[last])
+    free_pos = order[first]
+    by_pos = np.argsort(free_pos)
+    free_fills = (free_pos[by_pos], f_s[first][by_pos])
+    return (miss, evicted, evict_dirty), final, free_fills
+
+
 def replay_l2_soa(
     cache,
     codes: np.ndarray,
     set_indices: np.ndarray,
     tags: np.ndarray,
     scheme_mode: int,
+    frame_memo=None,
 ) -> None:
     """Drive ``cache`` through the decoded stream with the SoA kernel.
 
@@ -359,6 +471,11 @@ def replay_l2_soa(
         tags: Per-access tags.
         scheme_mode: The delivery-kind code for the scheme (``_CONVENTIONAL``,
             ``_REAP`` or ``_SERIAL``).
+        frame_memo: Optional :class:`repro.sim.fastpath.FrameMemo`.  When
+            the cache is empty and uses exact LRU, the functional pass looks
+            the stream's frame column up under :func:`frames_key` and, on a
+            hit, derives its results from the column instead of replaying
+            access by access; a miss replays and stores the column.
     """
     count = len(codes)
     if count == 0:
@@ -478,10 +595,8 @@ def replay_l2_soa(
     fill_log_pos: list[int] = []
     fill_log_frame: list[int] = []
 
-    code_list = codes.tolist()
-    set_list = set_indices.tolist()
     # Packed (tag, set) keys for the shared residency dict.
-    key_list = ((tags << index_bits) | set_indices).tolist()
+    packed_keys = (tags << index_bits) | set_indices
     way_range = range(assoc)
     fast_loop = position_mode and not uses_exposure
 
@@ -549,29 +664,60 @@ def replay_l2_soa(
         else:
             pol_fill(pol_globals, rows[set_index], victim - base)
 
+    # Set when the frame column came from ``frame_memo``: the per-access
+    # (miss, evicted, evict-dirty) columns derived from it.
+    derived = None
     if fast_loop:
         # The common case (LRU-family policy, no patrol scrubber): the hit
         # path is one dict probe plus two flat stores, with the replacement
         # transition deferred as a last-touch position.  All touched sets
         # are materialised up front so the loop never branches on it.
+        memo_key = frames = None
+        if (
+            frame_memo is not None
+            and type(policy) is LRUPolicy
+            and substrate.is_pristine()
+        ):
+            memo_key = frames_key(packed_keys, num_sets, assoc)
+            frames = frame_memo.get(memo_key)
+            if frames is not None and not _frames_match(frames, set_indices, assoc):
+                frames = None
         for set_index in np.flatnonzero(
             np.bincount(set_indices, minlength=num_sets)
         ).tolist():
             materialise(set_index)
-        resident_get = resident.get
-        for i, (key, code) in enumerate(zip(key_list, code_list)):
-            hit_frame = resident_get(key)
-            if hit_frame is not None:
-                way_arr[i] = hit_frame
-                pend_l[hit_frame] = i
-                if code:
-                    dirty_l[hit_frame] = True
-            else:
-                handle_miss(i, set_list[i], key, code)
+        if frames is not None:
+            frames = frames.astype(np.int64)
+            derived, final, free_fills = _functional_from_frames(
+                frames, codes, tags, total_frame_count
+            )
+            way_arr = frames
+            for f, tag, dirty, last_pos in zip(*(column.tolist() for column in final)):
+                tags_l[f] = tag
+                valid_l[f] = True
+                dirty_l[f] = dirty
+                pend_l[f] = last_pos
+            fill_log_pos, fill_log_frame = (column.tolist() for column in free_fills)
+        else:
+            resident_get = resident.get
+            set_list = set_indices.tolist()
+            for i, (key, code) in enumerate(
+                zip(packed_keys.tolist(), codes.tolist())
+            ):
+                hit_frame = resident_get(key)
+                if hit_frame is not None:
+                    way_arr[i] = hit_frame
+                    pend_l[hit_frame] = i
+                    if code:
+                        dirty_l[hit_frame] = True
+                else:
+                    handle_miss(i, set_list[i], key, code)
+            if memo_key is not None:
+                frame_memo.put(memo_key, np.array(way_arr, dtype=np.int32))
     else:
         resident_get = resident.get
         for i, (set_index, key, code) in enumerate(
-            zip(set_list, key_list, code_list)
+            zip(set_indices.tolist(), packed_keys.tolist(), codes.tolist())
         ):
             if not materialised[set_index]:
                 materialise(set_index)
@@ -666,12 +812,14 @@ def replay_l2_soa(
     pass2_span = telemetry_span(
         "kernel.pass2", scheme=scheme_name, accesses=count
     ).start()
-    frame = np.array(way_arr, dtype=np.int64)
+    frame = np.asarray(way_arr, dtype=np.int64)
     num_frames = total_frame_count
 
     is_read = np.asarray(codes) == 0
     miss_mask = np.zeros(count, dtype=bool)
-    if miss_positions:
+    if derived is not None:
+        miss_mask, evicted, evict_dirty = derived
+    elif miss_positions:
         miss_idx = np.array(miss_positions, dtype=np.int64)
         miss_mask[miss_idx] = True
         evicted = np.zeros(count, dtype=bool)
@@ -686,7 +834,7 @@ def replay_l2_soa(
     write_hit = ~is_read & hit_mask
 
     # Per-set read ranks: RR[i] = number of reads to set(i) at positions <= i.
-    order_by_set = np.argsort(set_indices, kind="stable")
+    order_by_set = _stable_argsort(set_indices, num_sets)
     sorted_read = is_read[order_by_set]
     set_counts = np.bincount(set_indices, minlength=num_sets)
     set_starts = np.concatenate(([0], np.cumsum(set_counts)[:-1]))
@@ -798,7 +946,9 @@ def replay_l2_soa(
     if evt_sub is not None:
         perm = np.lexsort((evt_sub, evt_pos, evt_frame))
     else:
-        perm = np.lexsort((evt_pos, evt_frame))
+        # Positions are already ascending: a stable frame sort is the
+        # (frame, position) order.
+        perm = _stable_argsort(evt_frame, num_frames)
     f_s = evt_frame[perm]
     pos_s = evt_pos[perm]
     R_s = evt_R[perm]
@@ -973,45 +1123,42 @@ def replay_l2_soa(
     )
     restore_counts = np.where(is_read, nvb, 0) if restore else None
 
-    ones_f = np.ones(count, dtype=float)
     totals.tag_pj = _sequential_total(
         totals.tag_pj,
-        np.stack(
-            (tag_e * ones_f, wtag_e * ones_f, tag_e * ones_f, tag_e * ones_f), axis=1
-        ),
+        _slot_values(count, tag_e, wtag_e, tag_e, tag_e),
         np.stack((read_count, wh_or_miss, dirty_evt, visit_counts), axis=1),
     )
     totals.data_read_pj = _sequential_total(
         totals.data_read_pj,
-        np.stack((ways_read * way_e, way_e * ones_f, way_e * ones_f), axis=1),
+        _slot_values(count, ways_read * way_e, way_e, way_e),
         np.stack((read_count, dirty_evt, visit_counts), axis=1),
     )
     if restore:
         totals.data_write_pj = _sequential_total(
             totals.data_write_pj,
-            np.stack((way_write_e * ones_f, wdata_e * ones_f), axis=1),
+            _slot_values(count, way_write_e, wdata_e),
             np.stack((restore_counts, wh_or_miss), axis=1),
         )
         totals.ecc_encode_pj = _sequential_total(
             totals.ecc_encode_pj,
-            np.stack((enc_e * ones_f, wecc_e * ones_f), axis=1),
+            _slot_values(count, enc_e, wecc_e),
             np.stack((restore_counts, wh_or_miss), axis=1),
         )
     else:
         totals.data_write_pj = _sequential_total(
-            totals.data_write_pj, wdata_e * ones_f, wh_or_miss
+            totals.data_write_pj, _slot_values(count, wdata_e), wh_or_miss
         )
         totals.ecc_encode_pj = _sequential_total(
-            totals.ecc_encode_pj, wecc_e * ones_f, wh_or_miss
+            totals.ecc_encode_pj, _slot_values(count, wecc_e), wh_or_miss
         )
     totals.ecc_decode_pj = _sequential_total(
         totals.ecc_decode_pj,
-        np.stack((decodes * dec_e, dec_e * ones_f, dec_e * ones_f), axis=1),
+        _slot_values(count, decodes * dec_e, dec_e, dec_e),
         np.stack((read_count, dirty_evt, visit_counts), axis=1),
     )
     totals.mux_pj = _sequential_total(
         totals.mux_pj,
-        np.stack((mux_e * ones_f, mux_e * ones_f, mux_e * ones_f), axis=1),
+        _slot_values(count, mux_e, mux_e, mux_e),
         np.stack((read_count, dirty_evt, visit_counts), axis=1),
     )
 

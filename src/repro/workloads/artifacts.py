@@ -1,11 +1,12 @@
-"""Cross-job artifact cache for decoded traces and L1-filtered streams.
+"""Cross-job artifact cache for decoded traces, replay frames and L1 streams.
 
 Campaigns that sweep MTJ/ECC parameters over a fixed workload mix re-derive
-the same expensive inputs in every job: the synthetic L2 trace is
-regenerated record by record, and (on the CPU path) the L1 filter replays
-the same CPU stream against the same L1 configuration.  Both derivations
-are pure functions of a small recipe, so this module persists them once per
-worker machine in a content-hash-keyed, mmap-backed cache:
+the same inputs in every job: the synthetic L2 trace is regenerated, the
+cache's hit/miss and victim decisions over it are replayed, and (on the CPU
+path) the L1 filter replays the same CPU stream against the same L1
+configuration.  These derivations are pure functions of a small recipe, so
+this module persists them once per worker machine in a
+content-hash-keyed, mmap-backed cache:
 
 * **Decoded L2 traces** are stored in the binary chunked trace format
   (:mod:`repro.workloads.streams`); a hit serves a zero-copy
@@ -13,6 +14,12 @@ worker machine in a content-hash-keyed, mmap-backed cache:
   replay through the segmented path that is bit-identical to whole-trace
   replay, so results are byte-identical with the cache cold, warm, or
   disabled.
+* **Functional-replay frame columns** — the cache frame every access of
+  a decoded L2 stream lands in, as the SoA kernel's functional pass
+  computes it from an empty LRU cache — are stored as ``.npy`` files keyed
+  by :func:`repro.sim.soa.frames_key`.  That pass reads neither the
+  protection scheme nor any MTJ/ECC parameter, so every job of such a
+  sweep skips it on a hit (see :class:`repro.sim.fastpath.FrameMemo`).
 * **L1-filtered L2 streams** are stored as a binary trace of the realised
   L2 requests plus a pickled end-state sidecar (L1 block fields, policy
   state, statistics), keyed by :meth:`Trace.content_hash` + the L1
@@ -262,6 +269,43 @@ class ArtifactCache:
         _emit("trace", "store", nbytes=cache_path.stat().st_size)
         converted = self._open_trace(cache_path, "trace")
         return converted if converted is not None else source
+
+    # -- functional-replay frame columns ----------------------------------------
+
+    def _frames_path(self, key: str) -> Path:
+        name = _recipe_hash({"schema": _SCHEMA, "kind": "l2-frames", "key": key})
+        return self.root / "frames" / f"{name}.npy"
+
+    def load_frames(self, key: str) -> np.ndarray | None:
+        """The frame column stored under a :func:`repro.sim.soa.frames_key`.
+
+        ``None`` on a miss or an unreadable file; the kernel additionally
+        checks the column against its stream and recomputes on mismatch.
+        """
+        path = self._frames_path(key)
+        try:
+            if not path.is_file():
+                _emit("frames", "miss")
+                return None
+            frames = np.load(path, allow_pickle=False)
+        except (OSError, ValueError, EOFError):
+            _emit("frames", "error")
+            return None
+        _emit("frames", "hit", nbytes=path.stat().st_size)
+        return frames
+
+    def store_frames(self, key: str, frames: np.ndarray) -> bool:
+        """Persist a frame column; False on degrade."""
+        path = self._frames_path(key)
+
+        def write_to(tmp: str) -> None:
+            with open(tmp, "wb") as handle:
+                np.save(handle, frames, allow_pickle=False)
+
+        if not self._publish(path, write_to):
+            return False
+        _emit("frames", "store", nbytes=path.stat().st_size)
+        return True
 
     # -- L1-filtered L2 streams -------------------------------------------------
 

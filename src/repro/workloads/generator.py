@@ -17,9 +17,23 @@ Per-set streams are generated independently and then interleaved by a
 weighted random merge; the interleaving does not change any per-set order, so
 the reliability behaviour is exactly the union of the per-set behaviours
 while the global trace still looks like a realistic mixed access stream.
+
+Generation is columnar and builds no per-access object:
+
+1. each set's builder returns plain ``(is_write, tag)`` lists, drawing its
+   random numbers one at a time in a fixed order (the draws of different
+   decisions interleave, so the order is part of the output);
+2. the streams' columns are concatenated and every address is composed in
+   one :meth:`~repro.cache.address.AddressMapper.compose_batch` call;
+3. the merge shuffles one array of stream identifiers and scatters the
+   concatenated columns through its stable argsort;
+4. the result is a :meth:`Trace.from_columns` trace, whose records are only
+   built if a caller asks for them.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -27,11 +41,14 @@ from ..cache.address import AddressMapper
 from ..config import CacheLevelConfig
 from ..errors import ConfigurationError, TraceError
 from .spec_profiles import SPECWorkloadProfile
-from .trace import AccessKind, Trace, TraceRecord
+from .trace import KIND_ORDER, AccessKind, Trace
+
+_L2_READ = KIND_ORDER.index(AccessKind.L2_READ)
+_L2_WRITE = KIND_ORDER.index(AccessKind.L2_WRITE)
 
 
 class _SetStreamBuilder:
-    """Builds the access stream of one cache set."""
+    """Builds the access stream of one cache set as ``(is_write, tag)`` columns."""
 
     def __init__(
         self,
@@ -40,15 +57,13 @@ class _SetStreamBuilder:
         profile: SPECWorkloadProfile,
         rng: np.random.Generator,
     ) -> None:
-        self._mapper = mapper
         self._set_index = set_index
         self._profile = profile
         self._rng = rng
+        self._tag_bits = mapper.config.tag_bits
+        self._max_tag = (1 << self._tag_bits) - 1
         self._next_fresh_tag = 1  # tag 0 is reserved for hot/cold lines' base
         self._live_tags: set[int] = set()
-
-    def _address(self, tag: int) -> int:
-        return self._mapper.compose(tag, self._set_index)
 
     def _fresh_tag(self) -> int:
         """Next unused tag, skipping tags that are still live on wraparound.
@@ -58,11 +73,11 @@ class _SetStreamBuilder:
         is never re-issued while it is live, so very long streams cannot
         silently alias two distinct lines onto one address.
         """
-        max_tag = (1 << self._mapper.config.tag_bits) - 1
+        max_tag = self._max_tag
         if len(self._live_tags) >= max_tag:
             raise TraceError(
                 f"tag space exhausted for set {self._set_index}: all {max_tag} "
-                f"usable tags ({self._mapper.config.tag_bits} tag bits, tag 0 "
+                f"usable tags ({self._tag_bits} tag bits, tag 0 "
                 "reserved) are live"
             )
         tag = self._next_fresh_tag
@@ -81,70 +96,84 @@ class _SetStreamBuilder:
         self._live_tags.add(tag)
         return tag
 
-    def _release_tag(self, tag: int) -> None:
-        self._live_tags.discard(tag)
-
-    def stable_stream(self, length: int) -> list[TraceRecord]:
+    def stable_stream(self, length: int) -> tuple[list[bool], list[int]]:
         """Stream for a stable set: hot re-reads plus scheduled cold re-reads.
 
         Sampled cold gaps are capped at half the per-set stream length so that
         short calibration runs still exercise the cold re-read mechanism; the
         observed concealed-read tail therefore grows with trace length, just
         as the paper's tails grow with the simulated instruction count.
+
+        Returns:
+            The ``(is_write, tag)`` columns of the set's ``length`` accesses.
         """
         profile = self._profile
+        random = self._rng.random
+        write_fraction = profile.write_fraction
         gap_cap = max(length // 2, 1)
         hot_tags = [self._claim_tag() for _ in range(profile.hot_lines_per_set)]
         cold_tags = [self._claim_tag() for _ in range(profile.cold_lines_per_set)]
-        records: list[TraceRecord] = []
 
         # Install the resident lines up front so later accesses hit.
-        for tag in hot_tags + cold_tags:
-            records.append(TraceRecord(AccessKind.L2_READ, self._address(tag)))
+        tags = hot_tags + cold_tags
+        is_write = [False] * len(tags)
 
         # Schedule the next re-read time (in set accesses) of each cold line.
-        cold_next: list[int] = []
-        for _ in cold_tags:
-            cold_next.append(len(records) + min(self._sample_gap(), gap_cap))
+        installed = len(tags)
+        cold_next = [installed + min(self._sample_gap(), gap_cap) for _ in cold_tags]
+        next_due = min(cold_next, default=length)
 
+        hot_count = len(hot_tags)
         hot_cursor = 0
-        while len(records) < length:
-            position = len(records)
-            due = [i for i, when in enumerate(cold_next) if when <= position]
-            if due and cold_tags:
-                index = due[0]
-                records.append(
-                    TraceRecord(AccessKind.L2_READ, self._address(cold_tags[index]))
-                )
-                cold_next[index] = len(records) + min(self._sample_gap(), gap_cap)
+        position = installed
+        while position < length:
+            if next_due <= position:
+                # The lowest-numbered cold line that is due is re-read.
+                index = next(i for i, when in enumerate(cold_next) if when <= position)
+                tags.append(cold_tags[index])
+                is_write.append(False)
+                position += 1
+                cold_next[index] = position + min(self._sample_gap(), gap_cap)
+                next_due = min(cold_next)
                 continue
-            tag = hot_tags[hot_cursor % len(hot_tags)]
+            tags.append(hot_tags[hot_cursor % hot_count])
             hot_cursor += 1
-            if self._rng.random() < profile.write_fraction:
-                records.append(TraceRecord(AccessKind.L2_WRITE, self._address(tag)))
-            else:
-                records.append(TraceRecord(AccessKind.L2_READ, self._address(tag)))
-        return records[:length]
+            is_write.append(random() < write_fraction)
+            position += 1
+        return is_write[:length], tags[:length]
 
-    def churn_stream(self, length: int) -> list[TraceRecord]:
-        """Stream for a churn set: streaming misses plus short-distance reuse."""
+    def churn_stream(self, length: int) -> tuple[list[bool], list[int]]:
+        """Stream for a churn set: streaming misses plus short-distance reuse.
+
+        Returns:
+            The ``(is_write, tag)`` columns of the set's ``length`` accesses.
+        """
         profile = self._profile
-        recent: list[int] = []
-        records: list[TraceRecord] = []
-        while len(records) < length:
-            is_write = self._rng.random() < profile.write_fraction
-            if not recent or self._rng.random() < profile.churn_miss_fraction:
-                tag = self._claim_tag()
+        random = self._rng.random
+        integers = self._rng.integers
+        write_fraction = profile.write_fraction
+        miss_fraction = profile.churn_miss_fraction
+        window = profile.churn_reuse_window
+        claim = self._claim_tag
+        live = self._live_tags
+        tags: list[int] = []
+        is_write: list[bool] = []
+        # The reuse window before access ``i`` is ``tags[i - reuse : i]``.
+        for i in range(length):
+            is_write.append(random() < write_fraction)
+            reuse = min(i, window)
+            if not reuse or random() < miss_fraction:
+                tag = claim()
             else:
-                tag = int(self._rng.choice(recent))
-            kind = AccessKind.L2_WRITE if is_write else AccessKind.L2_READ
-            records.append(TraceRecord(kind, self._address(tag)))
-            recent.append(tag)
-            if len(recent) > profile.churn_reuse_window:
-                expired = recent.pop(0)
-                if expired not in recent:
-                    self._release_tag(expired)
-        return records
+                # Draws exactly what ``rng.choice(window tags)`` would.
+                tag = tags[i - reuse + int(integers(reuse))]
+            tags.append(tag)
+            if i >= window:
+                # The oldest tag leaves the window; free it unless reused.
+                expired = tags[i - window]
+                if expired not in tags[i - window + 1 :]:
+                    live.discard(expired)
+        return is_write, tags
 
     def _sample_gap(self) -> int:
         profile = self._profile
@@ -174,7 +203,8 @@ def generate_l2_trace(
             always yields the same trace.
 
     Returns:
-        A :class:`Trace` of ``L2_READ`` / ``L2_WRITE`` records.
+        A columnar :class:`Trace` (:meth:`Trace.from_columns`) of
+        ``L2_READ`` / ``L2_WRITE`` accesses.
 
     Raises:
         TraceError: if ``num_accesses`` is not positive.
@@ -199,23 +229,38 @@ def generate_l2_trace(
     stable_budget = int(round(num_accesses * profile.stable_traffic_share))
     churn_budget = num_accesses - stable_budget
 
-    streams: list[list[TraceRecord]] = []
+    # One (set index, is_write column, tag column) entry per non-empty stream.
+    streams: list[tuple[int, list[bool], list[int]]] = []
     if stable_sets and stable_budget > 0:
         per_set = _split_budget(stable_budget, len(stable_sets), rng)
         for set_index, length in zip(stable_sets, per_set):
             if length == 0:
                 continue
             builder = _SetStreamBuilder(mapper, set_index, profile, rng)
-            streams.append(builder.stable_stream(length))
+            streams.append((set_index, *builder.stable_stream(length)))
     if churn_sets and churn_budget > 0:
         per_set = _split_budget(churn_budget, len(churn_sets), rng)
         for set_index, length in zip(churn_sets, per_set):
             if length == 0:
                 continue
             builder = _SetStreamBuilder(mapper, set_index, profile, rng)
-            streams.append(builder.churn_stream(length))
+            streams.append((set_index, *builder.churn_stream(length)))
 
-    return Trace(name=profile.name, records=_weighted_merge(streams, rng))
+    set_indices, write_columns, tag_columns = zip(*streams)
+    lengths = [len(column) for column in tag_columns]
+    total = sum(lengths)
+    is_write = np.fromiter(chain.from_iterable(write_columns), dtype=bool, count=total)
+    tags = np.fromiter(chain.from_iterable(tag_columns), dtype=np.int64, count=total)
+    indices = np.repeat(np.array(set_indices, dtype=np.int64), lengths)
+    addresses = mapper.compose_batch(tags, indices)
+    kinds = np.where(is_write, _L2_WRITE, _L2_READ).astype(np.int8)
+
+    destination = _weighted_merge(lengths, rng)
+    merged_kinds = np.empty_like(kinds)
+    merged_kinds[destination] = kinds
+    merged_addresses = np.empty_like(addresses)
+    merged_addresses[destination] = addresses
+    return Trace.from_columns(profile.name, merged_kinds, merged_addresses)
 
 
 def _split_budget(total: int, parts: int, rng: np.random.Generator) -> list[int]:
@@ -230,26 +275,19 @@ def _split_budget(total: int, parts: int, rng: np.random.Generator) -> list[int]
     return budgets
 
 
-def _weighted_merge(
-    streams: list[list[TraceRecord]], rng: np.random.Generator
-) -> list[TraceRecord]:
+def _weighted_merge(lengths: list[int], rng: np.random.Generator) -> np.ndarray:
     """Randomly interleave several streams, preserving each stream's order.
 
     A uniformly random interleaving is drawn by shuffling the multiset of
-    stream identifiers (one entry per record) and consuming each stream in
-    order as its identifier comes up.
+    stream identifiers (one entry per access).  Slot ``j`` of the merged
+    trace takes the next unconsumed access of stream ``order[j]``; a stable
+    argsort of ``order`` lists the slots stream by stream, in order, so it
+    is exactly the merged position of each access of the concatenated
+    streams.
+
+    Returns:
+        ``destination`` with ``merged[destination] = concatenated``.
     """
-    active = [s for s in streams if s]
-    if not active:
-        return []
-    order = np.concatenate(
-        [np.full(len(stream), index, dtype=np.int32) for index, stream in enumerate(active)]
-    )
+    order = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
     rng.shuffle(order)
-    positions = [0] * len(active)
-    merged: list[TraceRecord] = []
-    for stream_index in order:
-        stream = active[stream_index]
-        merged.append(stream[positions[stream_index]])
-        positions[stream_index] += 1
-    return merged
+    return np.argsort(order, kind="stable")

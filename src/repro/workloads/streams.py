@@ -49,7 +49,7 @@ from typing import Iterator, Protocol, runtime_checkable
 import numpy as np
 
 from ..errors import TraceError
-from .trace import _KIND_INDEX, KIND_ORDER, AccessKind, Trace, TraceRecord
+from .trace import _KIND_INDEX, KIND_ORDER, AccessKind, Trace
 
 #: Default replay segment length (accesses per segment).  One segment of a
 #: million accesses costs ~9 MB of decoded arrays — small enough to bound
@@ -541,13 +541,11 @@ def read_trace(path: str | Path, format: str = "auto", name: str | None = None) 
     """
     source = open_trace(path, format=format, name=name)
     try:
-        trace = Trace(name=source.name)
-        for kinds, addresses in source.segments():
-            trace.extend(
-                TraceRecord(kind=KIND_ORDER[k], address=int(a))
-                for k, a in zip(kinds.tolist(), addresses.tolist())
-            )
-        return trace
+        segments = list(source.segments())
+        if not segments:
+            return Trace.from_columns(source.name, [], [])
+        kinds, addresses = (np.concatenate(column) for column in zip(*segments))
+        return Trace.from_columns(source.name, kinds, addresses)
     finally:
         close = getattr(source, "close", None)
         if close is not None:

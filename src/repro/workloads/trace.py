@@ -10,6 +10,14 @@ Two trace granularities are used in the reproduction:
   level because the phenomenon under study — concealed-read accumulation —
   is entirely determined by the L2 access sequence.
 
+A :class:`Trace` is columnar at heart: the engines, the artifact cache and
+:meth:`Trace.content_hash` all read its ``(kind index, address)`` NumPy
+columns (:meth:`Trace.decoded`).  Large producers — the L2 generator and
+:func:`~repro.workloads.streams.read_trace` — hand those columns over
+directly through :meth:`Trace.from_columns`, so no per-access
+:class:`TraceRecord` exists unless a caller asks for records; small,
+hand-built traces append records and derive the columns once.
+
 Traces can be saved to and loaded from a simple text format (one record per
 line: ``<kind> <hex address>``) so experiments are reproducible and
 shareable without rerunning the generators.
@@ -19,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -48,6 +56,10 @@ KIND_ORDER = (
 )
 
 _KIND_INDEX = {kind: index for index, kind in enumerate(KIND_ORDER)}
+_KIND_VALUE = [kind.value for kind in KIND_ORDER]
+_WRITE_KINDS = (AccessKind.STORE, AccessKind.L2_WRITE)
+#: Whether each :data:`KIND_ORDER` kind is a write.
+_IS_WRITE = np.array([kind in _WRITE_KINDS for kind in KIND_ORDER])
 
 
 @dataclass(frozen=True)
@@ -69,34 +81,104 @@ class TraceRecord:
     @property
     def is_write(self) -> bool:
         """``True`` for stores and L2 write-backs."""
-        return self.kind in (AccessKind.STORE, AccessKind.L2_WRITE)
+        return self.kind in _WRITE_KINDS
 
 
-@dataclass
 class Trace:
     """An ordered sequence of memory references with a name.
+
+    A trace is held in one of two forms.  Built from records (the
+    constructor, :meth:`load`, the synthetic generators) it keeps the
+    ``TraceRecord`` list and derives columns on demand.  Built from columns
+    (:meth:`from_columns`, used by the L2 generator and :func:`read_trace`)
+    it keeps only the read-only ``(kind index, address)`` arrays; the record
+    list is materialised, with identical values, the first time something
+    asks for records (``records``, iteration, indexing, ``append`` /
+    ``extend``).  ``len``, :meth:`decoded`, :meth:`content_hash`, the
+    read/write counters, :meth:`unique_blocks` and :meth:`save` never build
+    records.
 
     Mutate the trace through :meth:`append` / :meth:`extend` (not by touching
     ``records`` directly) so the read/write counters stay consistent.
     """
 
-    name: str
-    records: list[TraceRecord] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self._write_count = sum(1 for r in self.records if r.is_write)
+    def __init__(self, name: str, records: list[TraceRecord] | None = None) -> None:
+        self.name = name
+        self._records: list[TraceRecord] | None = [] if records is None else records
+        self._write_count = sum(1 for r in self._records if r.is_write)
         self._version = 0
         self._decoded: tuple[tuple[int, int], np.ndarray, np.ndarray] | None = None
         self._content_hash: tuple[tuple[int, int], str] | None = None
 
+    @classmethod
+    def from_columns(cls, name: str, kinds, addresses) -> "Trace":
+        """A trace over ``(kind index, address)`` columns, without records.
+
+        ``kinds`` indexes :data:`KIND_ORDER`.  Both columns are copied into
+        read-only ``int8`` / ``int64`` arrays that seed the :meth:`decoded`
+        memo, so the trace costs no per-access Python object until records
+        are asked for.
+
+        Raises:
+            TraceError: if the columns differ in shape, a kind index is out
+                of range or an address is negative.
+        """
+        kind_column = np.asarray(kinds)
+        address_column = np.asarray(addresses)
+        if kind_column.ndim != 1 or kind_column.shape != address_column.shape:
+            raise TraceError(
+                f"kind and address columns must be 1-D and equally long, got "
+                f"shapes {kind_column.shape} and {address_column.shape}"
+            )
+        if kind_column.size:
+            if kind_column.min() < 0 or kind_column.max() >= len(KIND_ORDER):
+                raise TraceError("kind index out of range of KIND_ORDER")
+            if address_column.min() < 0:
+                raise TraceError("trace addresses must be non-negative")
+        kind_column = kind_column.astype(np.int8)
+        address_column = address_column.astype(np.int64)
+        kind_column.setflags(write=False)
+        address_column.setflags(write=False)
+        trace = cls(name)
+        trace._records = None
+        trace._write_count = int(np.count_nonzero(_IS_WRITE[kind_column]))
+        trace._decoded = ((len(kind_column), 0), kind_column, address_column)
+        return trace
+
+    @property
+    def records(self) -> list[TraceRecord]:
+        """The records, materialised from the columns on first use."""
+        if self._records is None:
+            _, kinds, addresses = self._decoded
+            self._records = [
+                TraceRecord(KIND_ORDER[k], a)
+                for k, a in zip(kinds.tolist(), addresses.tolist())
+            ]
+        return self._records
+
     def __len__(self) -> int:
-        return len(self.records)
+        if self._records is None:
+            return len(self._decoded[1])
+        return len(self._records)
 
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
 
     def __getitem__(self, index: int) -> TraceRecord:
         return self.records[index]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        if self.name != other.name or len(self) != len(other):
+            return False
+        mine, theirs = self.decoded(), other.decoded()
+        return np.array_equal(mine[0], theirs[0]) and np.array_equal(mine[1], theirs[1])
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        return f"Trace(name={self.name!r}, accesses={len(self)})"
 
     def append(self, record: TraceRecord) -> None:
         """Append one record."""
@@ -121,22 +203,24 @@ class Trace:
         keyed on both the record count and a mutation version bumped by
         :meth:`append`/:meth:`extend`, so equal-length mutation through the
         documented API cannot replay stale arrays), so replaying one trace
-        against several schemes or engines decodes it only once.  The
+        against several schemes or engines decodes it only once.  A trace
+        built by :meth:`from_columns` starts with this memo filled.  The
         returned arrays are shared and marked immutable; writing to them
         raises ``ValueError``.
         """
-        count = len(self.records)
-        key = (count, self._version)
+        key = (len(self), self._version)
         cached = self._decoded
         if cached is not None and cached[0] == key:
             return cached[1], cached[2]
+        records = self.records
+        count = len(records)
         kinds = np.fromiter(
-            (_KIND_INDEX[record.kind] for record in self.records),
+            (_KIND_INDEX[record.kind] for record in records),
             dtype=np.int8,
             count=count,
         )
         addresses = np.fromiter(
-            (record.address for record in self.records), dtype=np.int64, count=count
+            (record.address for record in records), dtype=np.int64, count=count
         )
         kinds.setflags(write=False)
         addresses.setflags(write=False)
@@ -154,8 +238,7 @@ class Trace:
         ``(count, mutation version)`` key as :meth:`decoded`, so mutation
         through :meth:`append`/:meth:`extend` invalidates both together.
         """
-        count = len(self.records)
-        key = (count, self._version)
+        key = (len(self), self._version)
         cached = self._content_hash
         if cached is not None and cached[0] == key:
             return cached[1]
@@ -172,7 +255,7 @@ class Trace:
     @property
     def read_count(self) -> int:
         """Number of non-write references (maintained incrementally, O(1))."""
-        return len(self.records) - self._write_count
+        return len(self) - self._write_count
 
     @property
     def write_count(self) -> int:
@@ -182,15 +265,16 @@ class Trace:
     @property
     def read_fraction(self) -> float:
         """Fraction of references that are reads."""
-        if not self.records:
+        if not len(self):
             return 0.0
-        return self.read_count / len(self.records)
+        return self.read_count / len(self)
 
     def unique_blocks(self, block_size: int = 64) -> int:
         """Number of distinct cache blocks touched."""
         if block_size <= 0:
             raise TraceError("block_size must be positive")
-        return len({r.address // block_size for r in self.records})
+        _, addresses = self.decoded()
+        return int(np.unique(addresses // block_size).size)
 
     def footprint_bytes(self, block_size: int = 64) -> int:
         """Footprint in bytes, at block granularity."""
@@ -208,8 +292,9 @@ class Trace:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8") as handle:
             handle.write(f"# trace {self.name}\n")
-            for record in self.records:
-                handle.write(f"{record.kind.value} {record.address:#x}\n")
+            kinds, addresses = self.decoded()
+            for kind, address in zip(kinds.tolist(), addresses.tolist()):
+                handle.write(f"{_KIND_VALUE[kind]} {address:#x}\n")
 
     def save_binary(self, path: str | Path, chunk_accesses: int = 1 << 20) -> None:
         """Write the trace in the binary chunked format (see ``streams``).

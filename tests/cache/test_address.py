@@ -1,5 +1,6 @@
 """Tests for address decomposition."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,3 +128,55 @@ class TestDecomposeBatch:
         # numpy's OverflowError.
         with pytest.raises(AddressError):
             mapper.decompose_batch([1 << 63])
+
+
+class TestComposeBatch:
+    def test_matches_scalar_compose(self, mapper):
+        rng = __import__("random").Random(11)
+        tags = [rng.randrange(0, 1 << mapper.config.tag_bits) for _ in range(500)]
+        indices = [rng.randrange(0, mapper.num_sets) for _ in range(500)]
+        batch = mapper.compose_batch(tags, indices)
+        assert batch.dtype == np.int64
+        assert batch.tolist() == [mapper.compose(t, i) for t, i in zip(tags, indices)]
+
+    def test_extremes_match_scalar_compose(self, mapper):
+        top_tag = (1 << mapper.config.tag_bits) - 1
+        top_index = mapper.num_sets - 1
+        batch = mapper.compose_batch([0, top_tag], [top_index, 0])
+        assert batch.tolist() == [mapper.compose(0, top_index), mapper.compose(top_tag, 0)]
+
+    def test_roundtrips_with_decompose_batch(self, mapper):
+        rng = np.random.default_rng(3)
+        tags = rng.integers(0, 1 << mapper.config.tag_bits, size=1000)
+        indices = rng.integers(0, mapper.num_sets, size=1000)
+        decomposed = mapper.decompose_batch(mapper.compose_batch(tags, indices))
+        assert np.array_equal(decomposed.tags, tags)
+        assert np.array_equal(decomposed.indices, indices)
+        assert not decomposed.offsets.any()
+        addresses = rng.integers(0, 1 << mapper.config.address_bits, size=1000)
+        fields = mapper.decompose_batch(addresses)
+        assert np.array_equal(
+            mapper.compose_batch(fields.tags, fields.indices), fields.block_addresses
+        )
+
+    @pytest.mark.parametrize(
+        "tag, index",
+        [(-1, 0), ("tag_limit", 0), (0, -1), (0, "num_sets")],
+    )
+    def test_rejects_out_of_range_field(self, mapper, tag, index):
+        tag = 1 << mapper.config.tag_bits if tag == "tag_limit" else tag
+        index = mapper.num_sets if index == "num_sets" else index
+        with pytest.raises(AddressError, match="out of range"):
+            mapper.compose_batch([1, tag, 2], [3, index, 4])
+
+    def test_rejects_empty_batch(self, mapper):
+        with pytest.raises(AddressError):
+            mapper.compose_batch([], [])
+
+    def test_rejects_mismatched_lengths(self, mapper):
+        with pytest.raises(AddressError):
+            mapper.compose_batch([1, 2], [3])
+
+    def test_huge_python_int_raises_address_error(self, mapper):
+        with pytest.raises(AddressError):
+            mapper.compose_batch([1 << 63], [0])

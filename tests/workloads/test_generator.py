@@ -147,15 +147,27 @@ class TestFreshTagWraparound:
         # Streaming misses only: far more fresh tags than the 7-tag space.
         # Expired tags leave the reuse window and become reusable, so the
         # stream keeps going instead of exhausting the space.
-        builder, mapper = self._builder(churn_miss_fraction=1.0, churn_reuse_window=3)
-        records = builder.churn_stream(100)
-        assert len(records) == 100
-        # No record may alias a line that is still in the reuse window: each
-        # window of 4 consecutive records (one new + window of 3) holds
+        builder, _ = self._builder(churn_miss_fraction=1.0, churn_reuse_window=3)
+        is_write, tags = builder.churn_stream(100)
+        assert len(is_write) == len(tags) == 100
+        # No access may alias a line that is still in the reuse window: each
+        # window of 4 consecutive accesses (one new + window of 3) holds
         # distinct tags.
-        tags = [mapper.decompose(r.address).tag for r in records]
         for i in range(3, len(tags)):
             assert tags[i] not in tags[i - 3 : i]
+
+    def test_churn_stream_reuses_only_window_tags(self):
+        # With reuse on, a re-read always names a tag from the last 3 (the
+        # tag space is large enough that fresh tags never wrap around here).
+        builder, _ = self._builder(
+            tag_bits=10, churn_miss_fraction=0.3, churn_reuse_window=3
+        )
+        _, tags = builder.churn_stream(200)
+        issued = set()
+        for i, tag in enumerate(tags):
+            if tag in issued:
+                assert tag in tags[max(0, i - 3) : i]
+            issued.add(tag)
 
     def test_churn_stream_exhaustion_is_a_clear_error(self):
         builder, _ = self._builder(churn_miss_fraction=1.0, churn_reuse_window=64)
@@ -163,7 +175,13 @@ class TestFreshTagWraparound:
             builder.churn_stream(100)
 
     def test_stable_stream_hot_cold_tags_stay_distinct(self):
-        builder, mapper = self._builder()
-        records = builder.stable_stream(50)
-        resident = {mapper.decompose(r.address).tag for r in records}
-        assert len(resident) == 3  # 2 hot + 1 cold, no aliasing
+        builder, _ = self._builder()
+        is_write, tags = builder.stable_stream(50)
+        assert len(is_write) == len(tags) == 50
+        assert len(set(tags)) == 3  # 2 hot + 1 cold, no aliasing
+
+    def test_stable_stream_installs_resident_lines_as_reads(self):
+        builder, _ = self._builder()
+        is_write, tags = builder.stable_stream(50)
+        assert tags[:3] == [1, 2, 3]
+        assert is_write[:3] == [False, False, False]

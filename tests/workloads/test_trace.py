@@ -283,3 +283,125 @@ class TestContentHash:
         kinds_after, _ = trace.decoded()
         assert len(kinds_after) == 2 * len(kinds_before)
         assert trace.content_hash() != hash_before
+
+
+class TestFromColumns:
+    RECORDS = [
+        TraceRecord(AccessKind.L2_READ, 0x40),
+        TraceRecord(AccessKind.L2_WRITE, 0x1000),
+        TraceRecord(AccessKind.LOAD, 0x0),
+        TraceRecord(AccessKind.STORE, 0x7F),
+        TraceRecord(AccessKind.IFETCH, 0x40),
+        TraceRecord(AccessKind.L2_READ, 0x1000),
+    ]
+
+    def columnar(self, records=None):
+        built = Trace(name="t", records=list(records or self.RECORDS))
+        kinds, addresses = built.decoded()
+        return Trace.from_columns("t", kinds, addresses), built
+
+    def test_summaries_without_records(self):
+        trace, built = self.columnar()
+        assert len(trace) == len(built)
+        assert trace.write_count == built.write_count == 2
+        assert trace.read_count == built.read_count
+        assert trace.read_fraction == built.read_fraction
+        assert trace.unique_blocks(64) == built.unique_blocks(64)
+        assert trace.footprint_bytes(128) == built.footprint_bytes(128)
+        assert trace.content_hash() == built.content_hash()
+        for mine, theirs in zip(trace.decoded(), built.decoded()):
+            assert np.array_equal(mine, theirs)
+            assert mine.dtype == theirs.dtype
+        assert trace._records is None  # nothing above needed records
+
+    def test_record_views_equal_record_built_trace(self):
+        trace, built = self.columnar()
+        assert trace.records == built.records
+        assert list(trace) == list(built)
+        assert [trace[i] for i in range(len(trace))] == self.RECORDS
+        assert trace[-1] == built[-1]
+        assert all(type(r.address) is int for r in trace)
+        assert trace == built
+
+    def test_save_matches_record_built_trace(self, tmp_path):
+        trace, built = self.columnar()
+        trace.save(tmp_path / "columns.txt")
+        built.save(tmp_path / "records.txt")
+        assert (tmp_path / "columns.txt").read_text() == (
+            tmp_path / "records.txt"
+        ).read_text()
+        assert trace._records is None
+        assert Trace.load(tmp_path / "columns.txt", name="t") == trace
+
+    def test_append_invalidates_decoded_and_hash(self):
+        trace, built = self.columnar()
+        stale_hash = trace.content_hash()
+        trace.append(TraceRecord(AccessKind.L2_WRITE, 0x2000))
+        built.append(TraceRecord(AccessKind.L2_WRITE, 0x2000))
+        kinds, addresses = trace.decoded()
+        assert len(kinds) == len(trace) == 7
+        assert addresses[-1] == 0x2000
+        assert trace.content_hash() != stale_hash
+        assert trace.content_hash() == built.content_hash()
+        assert trace.write_count == 3
+
+    def test_extend_invalidates_decoded_and_hash(self):
+        trace, _ = self.columnar()
+        stale_kinds, _ = trace.decoded()
+        stale_hash = trace.content_hash()
+        trace.extend(self.RECORDS)
+        kinds, _ = trace.decoded()
+        assert len(kinds) == 2 * len(stale_kinds)
+        assert trace.content_hash() != stale_hash
+        assert trace.content_hash() == Trace("t", self.RECORDS * 2).content_hash()
+        assert trace.write_count == 4
+
+    def test_columns_are_read_only_copies(self):
+        kinds = np.array([3, 4], dtype=np.int8)
+        addresses = np.array([0x40, 0x80], dtype=np.int64)
+        trace = Trace.from_columns("t", kinds, addresses)
+        got_kinds, got_addresses = trace.decoded()
+        with pytest.raises(ValueError):
+            got_kinds[0] = 4
+        with pytest.raises(ValueError):
+            got_addresses[0] = 0
+        kinds[0] = 4  # the caller's arrays stay writable and unshared
+        assert got_kinds[0] == 3
+        assert kinds.flags.writeable
+
+    def test_accepts_lists_and_empty_columns(self):
+        trace = Trace.from_columns("t", [3, 4], [0x40, 0x80])
+        assert trace.decoded()[0].dtype == np.int8
+        assert trace.decoded()[1].dtype == np.int64
+        empty = Trace.from_columns("e", [], [])
+        assert len(empty) == 0
+        assert empty.read_fraction == 0.0
+        assert empty.content_hash() == Trace("e").content_hash()
+
+    @pytest.mark.parametrize(
+        "kinds, addresses",
+        [([3, 4], [0x40]), ([5], [0x40]), ([-1], [0x40]), ([3], [-64])],
+    )
+    def test_rejects_bad_columns(self, kinds, addresses):
+        with pytest.raises(TraceError):
+            Trace.from_columns("t", kinds, addresses)
+
+    def test_fast_comparison_builds_no_records(self, monkeypatch):
+        """Generating and replaying a trace on the fast engine never builds
+        a per-access record (the guard for peak memory)."""
+        from repro.sim import ExperimentSettings, compare_schemes
+        from repro.workloads import artifacts
+
+        monkeypatch.delenv(artifacts.ARTIFACT_CACHE_ENV, raising=False)
+        built = []
+        original = TraceRecord.__post_init__
+
+        def counting(record):
+            built.append(record)
+            original(record)
+
+        monkeypatch.setattr(TraceRecord, "__post_init__", counting)
+        settings = ExperimentSettings(num_accesses=3_000, seed=2)
+        comparison = compare_schemes("gcc", settings=settings, engine="fast")
+        assert comparison.baseline.num_accesses == 3_000
+        assert built == []
