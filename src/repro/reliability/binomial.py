@@ -239,7 +239,9 @@ def resolve_unique_keys(*columns: np.ndarray) -> tuple[list[np.ndarray], np.ndar
     ``int64`` word per row and deduplicates with a single 1-D
     :func:`numpy.unique` — sorting one machine word per key instead of
     lexsorting a 2-D array, which is what keeps resolution cheap for the
-    larger groups the structure-of-arrays kernel produces.
+    larger groups the structure-of-arrays kernel produces.  Keys drawn from
+    a box of at most four possible keys per row are ranked without a sort
+    (:func:`_dense_unique_keys`), with the same result.
 
     Args:
         columns: Aligned 1-D arrays of non-negative integers.
@@ -260,11 +262,17 @@ def resolve_unique_keys(*columns: np.ndarray) -> tuple[list[np.ndarray], np.ndar
         empty = np.zeros(0, dtype=np.int64)
         return [empty for _ in arrays], np.zeros(0, dtype=np.intp)
     widths = []
+    lows = []
+    spans = []
     for column in arrays:
         low, high = int(column.min()), int(column.max())
         if low < 0:
             raise ConfigurationError("key columns must be non-negative")
         widths.append(max(1, high.bit_length()))
+        lows.append(low)
+        spans.append(high - low + 1)
+    if math.prod(spans) <= 4 * arrays[0].size:
+        return _dense_unique_keys(arrays, lows, spans)
     if sum(widths) > 63:
         raise ConfigurationError("packed key exceeds 63 bits")
     packed = arrays[0].copy()
@@ -279,6 +287,33 @@ def resolve_unique_keys(*columns: np.ndarray) -> tuple[list[np.ndarray], np.ndar
     unique_columns.append(unique_packed)
     unique_columns.reverse()
     return unique_columns, inverse.reshape(-1)
+
+
+def _dense_unique_keys(
+    arrays: list[np.ndarray], lows: list[int], spans: list[int]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """:func:`resolve_unique_keys` for keys from a small box, without a sort.
+
+    The rows are numbered in mixed radix within the box spanned by the
+    columns' ranges, which orders them exactly as the bit-packed words
+    would; when the box holds at most a few keys per row, marking the
+    present numbers and ranking them is cheaper than sorting the rows.
+    """
+    packed = arrays[0] - lows[0]
+    for column, low, span in zip(arrays[1:], lows[1:], spans[1:]):
+        packed *= span
+        packed += column - low
+    present = np.zeros(math.prod(spans), dtype=bool)
+    present[packed] = True
+    unique_packed = np.flatnonzero(present)
+    inverse = (np.cumsum(present) - 1)[packed]
+    unique_columns: list[np.ndarray] = []
+    for low, span in zip(reversed(lows[1:]), reversed(spans[1:])):
+        unique_packed, digit = np.divmod(unique_packed, span)
+        unique_columns.append(digit + low)
+    unique_columns.append(unique_packed + lows[0])
+    unique_columns.reverse()
+    return unique_columns, inverse
 
 
 def accumulation_penalty(

@@ -99,14 +99,28 @@ class FrameMemo:
     :func:`repro.sim.soa.frames_key`).  A memo lets the runs of one
     comparison replay that pass once; with an
     :class:`~repro.workloads.ArtifactCache` behind it, the column is also
-    persisted, so the other jobs of a sweep skip the pass as well.  Memo
-    lookups never change results: a hit derives exactly what the replay
-    would have computed.
+    persisted, so the other jobs of a sweep skip the pass as well.  In
+    memory only, it also keeps the scheme-independent half of pass 2 for
+    each stream (:class:`repro.sim.soa.SharedStream`), which lives as long
+    as the memo.  Memo lookups never change results: a hit derives exactly
+    what the replay would have computed.
     """
 
     def __init__(self, artifact_cache=None) -> None:
         self._frames: dict[str, np.ndarray] = {}
+        self._streams: list[soa.SharedStream] = []
         self._artifact_cache = artifact_cache
+
+    def find_stream(self, geometry, packed_keys, codes, samples):
+        """The shared pass-2 entry computed from exactly this stream, or ``None``."""
+        for entry in self._streams:
+            if entry.matches(geometry, packed_keys, codes, samples):
+                return entry
+        return None
+
+    def keep_stream(self, entry: soa.SharedStream) -> None:
+        """Remember a stream's shared pass-2 entry for the later runs."""
+        self._streams.append(entry)
 
     def get(self, key: str) -> np.ndarray | None:
         """The frame column stored under ``key``, or ``None``."""

@@ -23,7 +23,14 @@ Python bytecode per way.  The replay is split into two passes:
    the same cache frame; per-frame event streams (accesses plus patrol
    scrubs, sorted by frame then time) yield the delivery windows, the
    evicted-block exposures, the final per-block counters and the recency
-   ticks without touching Python per access.
+   ticks without touching Python per access.  Half of this pass reads
+   neither the scheme nor any reliability parameter: the hit/miss columns,
+   read ranks and valid-way counts, the frame-sorted event stream with its
+   forward-filled ones counts, per-frame delivery and fill counts and the
+   energy accumulators' addend layouts.  Under a ``frame_memo`` the
+   schemes of a comparison compute that half once (:class:`SharedStream`);
+   each scheme adds only its own windows, probabilities, energy and block
+   state, and scrubbing its own patrol events.
 
 Bit-identical to the reference engine by construction:
 
@@ -31,9 +38,11 @@ Bit-identical to the reference engine by construction:
   :meth:`repro.core.DataValueProfile.sample_many`, which consumes the
   generator exactly as the per-access ``sample()`` calls would;
 * every floating-point accumulator receives the same addends in the same
-  order — the per-access addend sequences are reconstructed per accumulator
-  and reduced with a seeded ``np.cumsum``, whose accumulation is
-  sequential, so the final value is bitwise equal to the scalar loop's;
+  order — each energy accumulator's addend sequence is laid out as one run
+  of constant addends per access with one distinguished slot
+  (:func:`_run_layout`) and reduced with a seeded ``np.cumsum``, whose
+  accumulation is sequential, so the final value is bitwise equal to the
+  scalar loop's;
 * the deferred failure probabilities go through the vectorised binomial
   evaluation of :mod:`repro.reliability.binomial`, element-for-element
   identical to the scalar math (packed-key deduplication via
@@ -53,6 +62,7 @@ replacement policy and trace level to enforce all of this field by field.
 from __future__ import annotations
 
 import hashlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -259,29 +269,74 @@ def _initial_valid_frames(substrate, num_sets: int, assoc: int) -> np.ndarray:
     return np.asarray(frames, dtype=np.int64)
 
 
-def _sequential_total(initial: float, values: np.ndarray, counts: np.ndarray) -> float:
-    """Left-to-right sum of ``counts`` repeats of each addend, from ``initial``.
+def _run_layout(
+    counts: np.ndarray,
+    special: np.ndarray | None = None,
+    special_at: np.ndarray | int = 0,
+) -> tuple[int, np.ndarray | None]:
+    """Layout of per-access addend runs, for :func:`_fold_runs`.
 
-    ``values``/``counts`` are (accesses x slots) matrices whose row-major
-    order is the exact per-access addend order of the scalar loop; the
-    reduction goes through :func:`sequential_float_sum`, whose seeded
+    Access ``i`` adds ``counts[i]`` addends, in access order; an access in
+    ``special`` adds one distinguished addend as number ``special_at`` of
+    its run.
+
+    Returns:
+        ``(total, positions)``: the number of addends and where the
+        distinguished ones land, in access order.
+    """
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    if special is None:
+        return total, None
+    return total, ((ends - counts) + special_at)[special]
+
+
+def _fold_runs(
+    initial: float,
+    layout: tuple[int, np.ndarray | None],
+    fill: float,
+    special_values: np.ndarray | float = 0.0,
+) -> float:
+    """Left-to-right sum, from ``initial``, of addend runs laid out by
+    :func:`_run_layout`: every addend is ``fill`` except the distinguished
+    ones, which are ``special_values``.
+
+    The reduction goes through :func:`sequential_float_sum`, whose seeded
     cumulative sum performs the identical sequential float additions.
     """
-    return sequential_float_sum(initial, np.repeat(values.ravel(), counts.ravel()))
+    total, positions = layout
+    addends = np.full(total, fill, dtype=float)
+    if positions is not None:
+        addends[positions] = special_values
+    return sequential_float_sum(initial, addends)
 
 
-def _slot_values(count: int, *slots) -> np.ndarray:
-    """The (accesses x slots) addend matrix for :func:`_sequential_total`.
+def _energy_layouts(
+    is_read: np.ndarray,
+    writes: np.ndarray,
+    later: np.ndarray,
+    rewrites: np.ndarray | int = 0,
+) -> tuple[tuple[int, np.ndarray | None], ...]:
+    """Addend-run layouts of the energy accumulators, for :func:`_fold_runs`.
 
-    A scalar slot holds the same addend for every access; an array slot
-    holds one per access.
+    Within one access the scalar loop adds, in this order: ``rewrites``
+    restore rewrites, the demand read, the write (write hit or fill), and
+    ``later`` addends for the dirty write-back and the patrol visits.  The
+    tag accumulator adds at the read, write and later slots (the write
+    distinguished); data read, ECC decode and MUX at the read and later
+    slots (the read distinguished); data write and ECC encode at the
+    rewrite and write slots (the write distinguished).
+
+    Returns:
+        ``(tag, demand, write)`` layouts.
     """
-    row = np.array([s if np.ndim(s) == 0 else 0.0 for s in slots], dtype=float)
-    values = np.tile(row, count).reshape(count, len(slots))
-    for column, slot in enumerate(slots):
-        if np.ndim(slot) != 0:
-            values[:, column] = slot
-    return values
+    reads = is_read.astype(np.int64)
+    demand = reads + later
+    return (
+        _run_layout(demand + writes, writes, reads),
+        _run_layout(demand, is_read),
+        _run_layout(rewrites + writes, writes, rewrites),
+    )
 
 
 def _segment_last_where(flags: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -451,6 +506,263 @@ def _functional_from_frames(
     return (miss, evicted, evict_dirty), final, free_fills
 
 
+class _AccessColumns(NamedTuple):
+    """Per-access and per-set columns of a replay that no scheme changes."""
+
+    is_read: np.ndarray
+    delivery: np.ndarray  # read hits
+    write_hit: np.ndarray
+    kind: np.ndarray  # event kind: 0 delivery, 1 write hit, 2 fill
+    order_by_set: np.ndarray  # stable (set, position) order
+    sorted_read: np.ndarray  # is_read in that order
+    rr: np.ndarray  # reads to the access's set at positions <= its own
+    nvb: np.ndarray  # valid ways the access sees before its own fill
+    reads_per_set: np.ndarray
+    read_positions: np.ndarray  # read positions in (set, position) order
+    read_offsets: np.ndarray  # per-set offsets into read_positions
+    last_read_pos: np.ndarray  # per set, -1 when none
+    deliveries_per_frame: np.ndarray
+    fills_per_frame: np.ndarray
+    energy_layouts: tuple  # without restore rewrites or patrol visits
+
+
+def _access_columns(
+    codes: np.ndarray,
+    set_indices: np.ndarray,
+    frame: np.ndarray,
+    miss_mask: np.ndarray,
+    evicted: np.ndarray,
+    evict_dirty: np.ndarray,
+    init_nvalid: np.ndarray,
+    num_sets: int,
+    num_frames: int,
+) -> _AccessColumns:
+    """Hit/miss masks, per-set read ranks and valid-way counts of a stream."""
+    count = len(codes)
+    is_read = np.asarray(codes) == 0
+    hit_mask = ~miss_mask
+    delivery = is_read & hit_mask
+    write_hit = ~is_read & hit_mask
+
+    # Per-set read ranks: RR[i] = number of reads to set(i) at positions <= i.
+    order_by_set = _stable_argsort(set_indices, num_sets)
+    sorted_read = is_read[order_by_set]
+    set_counts = np.bincount(set_indices, minlength=num_sets)
+    set_starts = np.concatenate(([0], np.cumsum(set_counts)[:-1]))
+    # Sets with no accesses (e.g. materialised only by patrol visits) have
+    # out-of-range start offsets; clip them and mask their values out below.
+    safe_starts = np.minimum(set_starts, max(count - 1, 0))
+    read_cum = np.cumsum(sorted_read)
+    seg_base = np.where(
+        set_counts > 0, read_cum[safe_starts] - sorted_read[safe_starts], 0
+    )
+    rr = np.empty(count, dtype=np.int64)
+    rr[order_by_set] = read_cum - np.repeat(seg_base, set_counts)
+    # Valid-way count seen by each access (before its own fill): the set's
+    # initial occupancy plus the free (non-evicting) fills strictly before.
+    free_fill_sorted = (miss_mask & ~evicted)[order_by_set].astype(np.int64)
+    ff_cum = np.cumsum(free_fill_sorted)
+    ff_base = np.where(
+        set_counts > 0, ff_cum[safe_starts] - free_fill_sorted[safe_starts], 0
+    )
+    nvb = np.empty(count, dtype=np.int32)
+    nvb[order_by_set] = (ff_cum - np.repeat(ff_base, set_counts)) - free_fill_sorted
+    nvb += init_nvalid[set_indices]
+
+    reads_per_set = np.bincount(set_indices[is_read], minlength=num_sets)
+    # Read positions in (set, position) order, with per-set offsets; the
+    # last read of a set is the final entry of its span (-1 when none).
+    read_positions = order_by_set[sorted_read]
+    read_offsets = np.concatenate(([0], np.cumsum(reads_per_set)))
+    if read_positions.size:
+        last_read_pos = np.where(
+            reads_per_set > 0,
+            read_positions[np.maximum(read_offsets[1:] - 1, 0)],
+            -1,
+        )
+    else:
+        # No reads at all (possible for short streaming segments): every
+        # set's last-read position is the "none" sentinel.
+        last_read_pos = np.full(num_sets, -1, dtype=np.int64)
+    return _AccessColumns(
+        is_read=is_read,
+        delivery=delivery,
+        write_hit=write_hit,
+        kind=np.where(delivery, 0, np.where(write_hit, 1, 2)).astype(np.int8),
+        order_by_set=order_by_set,
+        sorted_read=sorted_read,
+        rr=rr,
+        nvb=nvb,
+        reads_per_set=reads_per_set,
+        read_positions=read_positions,
+        read_offsets=read_offsets,
+        last_read_pos=last_read_pos,
+        deliveries_per_frame=np.bincount(frame[delivery], minlength=num_frames),
+        fills_per_frame=np.bincount(frame[miss_mask], minlength=num_frames),
+        energy_layouts=_energy_layouts(is_read, ~delivery, evict_dirty),
+    )
+
+
+class _EventColumns(NamedTuple):
+    """The per-frame chronological event stream of a replay.
+
+    One event per access (kind 0 delivery, 1 write hit, 2 fill) plus one
+    per patrol scrub (kind 3, after the access at the same position),
+    sorted by frame, then time.
+    """
+
+    perm: np.ndarray  # event order -> index into (accesses, visits)
+    f_s: np.ndarray
+    pos_s: np.ndarray
+    kind_s: np.ndarray
+    event_of_access: np.ndarray  # sorted event index of each access
+    new_frame: np.ndarray
+    seg_starts: np.ndarray  # first event of each frame's segment
+    seg_frames: np.ndarray
+    setter: np.ndarray  # write hits and fills set the ones count
+    setter_ones: np.ndarray
+    ones_after: np.ndarray  # frame's ones count after each event
+    ones_at_acc: np.ndarray  # ones count each access finds, in access order
+    last_any: np.ndarray  # per frame: its last event (-1 when none)
+    last_own: np.ndarray  # per frame: its last access event
+    first_fill: np.ndarray  # per frame: its first fill event
+
+
+def _event_columns(
+    frame: np.ndarray,
+    access_kind: np.ndarray,
+    samples: np.ndarray,
+    init_ones: np.ndarray,
+    num_frames: int,
+    visits_pos: np.ndarray,
+    visits_frame: np.ndarray,
+) -> _EventColumns:
+    """Sort the accesses and patrol scrubs into per-frame event streams."""
+    count = len(frame)
+    num_visits = len(visits_pos)
+    access_index = np.arange(count, dtype=np.int64)
+    if num_visits:
+        evt_frame = np.concatenate((frame, visits_frame))
+        evt_pos = np.concatenate((access_index, visits_pos))
+        evt_sub = np.concatenate(
+            (np.zeros(count, dtype=np.int64), np.ones(num_visits, dtype=np.int64))
+        )
+        evt_kind = np.concatenate((access_kind, np.full(num_visits, 3, np.int8)))
+        perm = np.lexsort((evt_sub, evt_pos, evt_frame))
+        f_s = evt_frame[perm]
+        pos_s = evt_pos[perm]
+        kind_s = evt_kind[perm]
+        own_mask_s = kind_s < 3
+        ai_s = np.where(own_mask_s, perm, -1)
+    else:
+        # Positions are already ascending: a stable frame sort is the
+        # (frame, position) order.
+        perm = _stable_argsort(frame, num_frames)
+        f_s = frame[perm]
+        pos_s = ai_s = perm
+        kind_s = access_kind[perm]
+        own_mask_s = np.ones(count, dtype=bool)
+    num_events = len(f_s)
+    event_index = np.arange(num_events, dtype=np.int64)
+    event_of_access = np.empty(count, dtype=np.int64)
+    event_of_access[perm[own_mask_s]] = event_index[own_mask_s]
+
+    new_frame = np.empty(num_events, dtype=bool)
+    new_frame[0] = True
+    new_frame[1:] = f_s[1:] != f_s[:-1]
+    seg_starts = np.flatnonzero(new_frame)
+    seg_frames = f_s[seg_starts]
+    seg_counts = np.diff(np.concatenate((seg_starts, [num_events])))
+    seg_last = seg_starts + seg_counts - 1
+
+    # Ones value after each event (forward-filled setter values).
+    setter = (kind_s == 1) | (kind_s == 2)
+    setter_ones = np.where(setter, samples[np.maximum(ai_s, 0)], 0)
+    ffill_idx = np.maximum.accumulate(np.where(setter, event_index, -1))
+    has_setter = ffill_idx >= np.repeat(seg_starts, seg_counts)
+    ones_after = np.where(
+        has_setter, setter_ones[np.maximum(ffill_idx, 0)], init_ones[f_s]
+    )
+    # The value an event finds is the one its predecessor on the frame left.
+    ones_before = np.empty(num_events, dtype=np.int32)
+    ones_before[1:] = ones_after[:-1]
+    ones_before[seg_starts] = init_ones[seg_frames]
+
+    last_any = np.full(num_frames, -1, dtype=np.int64)
+    last_any[seg_frames] = seg_last
+    last_own = np.full(num_frames, -1, dtype=np.int64)
+    last_own[seg_frames] = _segment_last_where(own_mask_s, seg_starts)
+    first_fill = np.full(num_frames, -1, dtype=np.int64)
+    fill_flags = kind_s == 2
+    if fill_flags.any():
+        first_idx = np.where(fill_flags, event_index, num_events)
+        first_fill_seg = np.minimum.reduceat(first_idx, seg_starts)
+        first_fill[seg_frames] = np.where(
+            first_fill_seg == num_events, -1, first_fill_seg
+        )
+    return _EventColumns(
+        perm=perm,
+        f_s=f_s,
+        pos_s=pos_s,
+        kind_s=kind_s,
+        event_of_access=event_of_access,
+        new_frame=new_frame,
+        seg_starts=seg_starts,
+        seg_frames=seg_frames,
+        setter=setter,
+        setter_ones=setter_ones,
+        ones_after=ones_after,
+        ones_at_acc=ones_before[event_of_access],
+        last_any=last_any,
+        last_own=last_own,
+        first_fill=first_fill,
+    )
+
+
+class SharedStream:
+    """The scheme-independent half of a replay, shared by a comparison.
+
+    From an empty cache under exact LRU, pass 1 and everything pass 2
+    derives from its decisions read only the access stream, the geometry
+    and the ones-count samples -- not the scheme or any reliability
+    parameter.  A :class:`repro.sim.fastpath.FrameMemo` keeps one of these
+    per stream, so the other schemes of a comparison reuse the functional
+    results, the access columns and the event stream (without patrol
+    scrubs: scrubbing sorts its own).  Matching is exact: the stream's
+    packed keys, kind codes and samples are compared in full.
+    """
+
+    __slots__ = (
+        "geometry",
+        "packed_keys",
+        "codes",
+        "samples",
+        "functional",
+        "access",
+        "events",
+    )
+
+    def __init__(
+        self, geometry, packed_keys, codes, samples, functional, access
+    ) -> None:
+        self.geometry = geometry
+        self.packed_keys = packed_keys
+        self.codes = codes
+        self.samples = samples
+        self.functional = functional
+        self.access = access
+        self.events: _EventColumns | None = None
+
+    def matches(self, geometry, packed_keys, codes, samples) -> bool:
+        """Whether this entry was computed from exactly this stream."""
+        return (
+            self.geometry == geometry
+            and np.array_equal(self.packed_keys, packed_keys)
+            and np.array_equal(self.codes, codes)
+            and np.array_equal(self.samples, samples)
+        )
+
+
 def replay_l2_soa(
     cache,
     codes: np.ndarray,
@@ -484,6 +796,7 @@ def replay_l2_soa(
     restore = type(cache) is RestoreCache
     scrubbing = type(cache) is ScrubbingCache
     substrate = cache.cache
+    pristine = substrate.is_pristine()
     assoc = substrate.associativity
     policy = substrate.replacement
     engine = cache.engine
@@ -492,8 +805,10 @@ def replay_l2_soa(
     totals = cache.energy
 
     # One ones-count sample per access, consumed in trace order exactly as
-    # the per-access sample() calls of the scalar loops.
-    samples = np.asarray(cache.data_profile.sample_many(count), dtype=np.int64)
+    # the per-access sample() calls of the scalar loops.  Ones counts (at
+    # most the block's bits) and valid-way counts are held as int32: a
+    # comparison keeps its shared pass-2 columns (SharedStream) alive.
+    samples = np.asarray(cache.data_profile.sample_many(count), dtype=np.int32)
 
     # -- policy scheduling --------------------------------------------------------
     soa_mode, uses_exposure = effective_soa_scheduling(policy)
@@ -553,7 +868,8 @@ def replay_l2_soa(
         blocks = substrate.cache_set(set_index).blocks
         base = set_index * assoc
         nvalid = 0
-        for way, block in enumerate(blocks):
+        # A pristine cache's blocks hold the defaults the lists start with.
+        for way, block in enumerate(() if pristine else blocks):
             f = base + way
             tags_l[f] = block.tag
             if block.valid:
@@ -664,34 +980,44 @@ def replay_l2_soa(
         else:
             pol_fill(pol_globals, rows[set_index], victim - base)
 
-    # Set when the frame column came from ``frame_memo``: the per-access
-    # (miss, evicted, evict-dirty) columns derived from it.
-    derived = None
+    # Set when the frame column came from ``frame_memo``: the frames and
+    # what the functional pass derives from them (_functional_from_frames).
+    functional = None
+    # The memo's entry for this stream, once found or computed.
+    shared = None
+    memo_eligible = (
+        fast_loop
+        and frame_memo is not None
+        and type(policy) is LRUPolicy
+        and pristine
+    )
     if fast_loop:
         # The common case (LRU-family policy, no patrol scrubber): the hit
         # path is one dict probe plus two flat stores, with the replacement
         # transition deferred as a last-touch position.  All touched sets
         # are materialised up front so the loop never branches on it.
-        memo_key = frames = None
-        if (
-            frame_memo is not None
-            and type(policy) is LRUPolicy
-            and substrate.is_pristine()
-        ):
+        memo_key = None
+        if memo_eligible:
+            shared = frame_memo.find_stream(
+                (num_sets, assoc), packed_keys, codes, samples
+            )
+        if shared is not None:
+            functional = shared.functional
+        elif memo_eligible:
             memo_key = frames_key(packed_keys, num_sets, assoc)
             frames = frame_memo.get(memo_key)
-            if frames is not None and not _frames_match(frames, set_indices, assoc):
-                frames = None
+            if frames is not None and _frames_match(frames, set_indices, assoc):
+                frames = frames.astype(np.int64)
+                functional = (
+                    frames,
+                    *_functional_from_frames(frames, codes, tags, total_frame_count),
+                )
         for set_index in np.flatnonzero(
             np.bincount(set_indices, minlength=num_sets)
         ).tolist():
             materialise(set_index)
-        if frames is not None:
-            frames = frames.astype(np.int64)
-            derived, final, free_fills = _functional_from_frames(
-                frames, codes, tags, total_frame_count
-            )
-            way_arr = frames
+        if functional is not None:
+            way_arr, derived, final, free_fills = functional
             for f, tag, dirty, last_pos in zip(*(column.tolist() for column in final)):
                 tags_l[f] = tag
                 valid_l[f] = True
@@ -815,66 +1141,90 @@ def replay_l2_soa(
     frame = np.asarray(way_arr, dtype=np.int64)
     num_frames = total_frame_count
 
-    is_read = np.asarray(codes) == 0
-    miss_mask = np.zeros(count, dtype=bool)
-    if derived is not None:
+    if functional is not None:
         miss_mask, evicted, evict_dirty = derived
-    elif miss_positions:
-        miss_idx = np.array(miss_positions, dtype=np.int64)
-        miss_mask[miss_idx] = True
-        evicted = np.zeros(count, dtype=bool)
-        evicted[miss_idx] = np.array(evicted_flags, dtype=bool)
-        evict_dirty = np.zeros(count, dtype=bool)
-        evict_dirty[miss_idx] = np.array(evict_dirty_flags, dtype=bool)
     else:
+        miss_mask = np.zeros(count, dtype=bool)
         evicted = np.zeros(count, dtype=bool)
         evict_dirty = np.zeros(count, dtype=bool)
-    hit_mask = ~miss_mask
-    delivery = is_read & hit_mask
-    write_hit = ~is_read & hit_mask
+        if miss_positions:
+            miss_idx = np.array(miss_positions, dtype=np.int64)
+            miss_mask[miss_idx] = True
+            evicted[miss_idx] = np.array(evicted_flags, dtype=bool)
+            evict_dirty[miss_idx] = np.array(evict_dirty_flags, dtype=bool)
 
-    # Per-set read ranks: RR[i] = number of reads to set(i) at positions <= i.
-    order_by_set = _stable_argsort(set_indices, num_sets)
-    sorted_read = is_read[order_by_set]
-    set_counts = np.bincount(set_indices, minlength=num_sets)
-    set_starts = np.concatenate(([0], np.cumsum(set_counts)[:-1]))
-    # Sets with no accesses (e.g. materialised only by patrol visits) have
-    # out-of-range start offsets; clip them and mask their values out below.
-    safe_starts = np.minimum(set_starts, max(count - 1, 0))
-    read_cum = np.cumsum(sorted_read)
-    seg_base = np.where(
-        set_counts > 0, read_cum[safe_starts] - sorted_read[safe_starts], 0
-    )
-    rank_sorted = read_cum - np.repeat(seg_base, set_counts)
-    rr = np.empty(count, dtype=np.int64)
-    rr[order_by_set] = rank_sorted
-    # Valid-way count seen by each access (before its own fill): the set's
-    # initial occupancy plus the free (non-evicting) fills strictly before.
-    free_fill_sorted = (miss_mask & ~evicted)[order_by_set].astype(np.int64)
-    ff_cum = np.cumsum(free_fill_sorted)
-    ff_base = np.where(
-        set_counts > 0, ff_cum[safe_starts] - free_fill_sorted[safe_starts], 0
-    )
-    nvb_sorted = (ff_cum - np.repeat(ff_base, set_counts)) - free_fill_sorted
-    nvb = np.empty(count, dtype=np.int64)
-    nvb[order_by_set] = nvb_sorted
-    nvb += np.asarray(init_nvalid, dtype=np.int64)[set_indices]
+    # Initial (pre-replay) per-frame state, read from the untouched blocks;
+    # a pristine cache has none, so every field starts at zero.
+    init_ones = np.zeros(num_frames, dtype=np.int32)
+    init_valid = np.zeros(num_frames, dtype=bool)
+    if pristine:
+        init_unch = init_rsd = init_reads = init_conc = init_checks = init_ones
+        init_fills = init_tick = init_ones
+    else:
+        init_unch = np.zeros(num_frames, dtype=np.int64)
+        init_rsd = np.zeros(num_frames, dtype=np.int64)
+        init_reads = np.zeros(num_frames, dtype=np.int64)
+        init_conc = np.zeros(num_frames, dtype=np.int64)
+        init_checks = np.zeros(num_frames, dtype=np.int64)
+        init_fills = np.zeros(num_frames, dtype=np.int64)
+        init_tick = np.zeros(num_frames, dtype=np.int64)
+        for set_index in touched_sets:
+            base = set_index * assoc
+            blocks = substrate.cache_set(set_index).blocks
+            for way_index, block in enumerate(blocks):
+                f = base + way_index
+                init_ones[f] = block.ones_count
+                init_unch[f] = block.unchecked_reads
+                init_rsd[f] = block.reads_since_demand
+                init_reads[f] = block.total_reads
+                init_conc[f] = block.total_concealed_reads
+                init_checks[f] = block.total_checks
+                init_fills[f] = block.fills
+                init_tick[f] = block.last_access_tick
+                init_valid[f] = block.valid
 
-    reads_per_set = np.bincount(set_indices[is_read], minlength=num_sets)
-    # Read positions in (set, position) order, with per-set offsets; the
-    # last read of a set is the final entry of its span (-1 when none).
-    read_positions = order_by_set[sorted_read]
-    read_offsets = np.concatenate(([0], np.cumsum(reads_per_set)))
-    if read_positions.size:
-        last_read_pos = np.where(
-            reads_per_set > 0,
-            read_positions[np.maximum(read_offsets[1:] - 1, 0)],
-            -1,
+    if shared is not None:
+        access = shared.access
+    else:
+        access = _access_columns(
+            codes,
+            set_indices,
+            frame,
+            miss_mask,
+            evicted,
+            evict_dirty,
+            np.asarray(init_nvalid, dtype=np.int64),
+            num_sets,
+            num_frames,
         )
-    else:
-        # No reads at all (possible for short streaming segments): every
-        # set's last-read position is the "none" sentinel.
-        last_read_pos = np.full(num_sets, -1, dtype=np.int64)
+        if memo_eligible:
+            if functional is None:
+                # What _functional_from_frames would derive, from the loop.
+                accessed = np.flatnonzero(access.fills_per_frame).tolist()
+                free = np.flatnonzero(miss_mask & ~evicted)
+                functional = (
+                    frame,
+                    (miss_mask, evicted, evict_dirty),
+                    (
+                        np.array(accessed, dtype=np.int64),
+                        np.array([tags_l[f] for f in accessed], dtype=np.int64),
+                        np.array([dirty_l[f] for f in accessed], dtype=bool),
+                        np.array([pend_l[f] for f in accessed], dtype=np.int64),
+                    ),
+                    (free, frame[free]),
+                )
+            shared = SharedStream(
+                (num_sets, assoc), packed_keys, codes, samples, functional, access
+            )
+            frame_memo.keep_stream(shared)
+    is_read = access.is_read
+    delivery = access.delivery
+    write_hit = access.write_hit
+    rr = access.rr
+    nvb = access.nvb
+    reads_per_set = access.reads_per_set
+    # Frames never turn invalid during a replay (evictions refill in place).
+    final_valid = init_valid | (access.fills_per_frame > 0)
 
     # Scrub-visit read ranks via one packed searchsorted over read positions
     # sorted by (set, position).
@@ -883,86 +1233,41 @@ def replay_l2_soa(
         visits_pos = np.array(vis_pos, dtype=np.int64)
         visits_set = np.array(vis_set, dtype=np.int64)
         visits_frame = visits_set * assoc + np.array(vis_way, dtype=np.int64)
+        read_positions = access.read_positions
         read_keys_sorted = set_indices[read_positions] * (count + 1) + read_positions
         visits_rank = (
             np.searchsorted(
                 read_keys_sorted, visits_set * (count + 1) + visits_pos, side="right"
             )
-            - read_offsets[visits_set]
+            - access.read_offsets[visits_set]
         )
     else:
         visits_pos = np.zeros(0, dtype=np.int64)
         visits_frame = np.zeros(0, dtype=np.int64)
         visits_rank = np.zeros(0, dtype=np.int64)
 
-    # Initial (pre-replay) per-frame state, read from the untouched blocks.
-    init_ones = np.zeros(num_frames, dtype=np.int64)
-    init_unch = np.zeros(num_frames, dtype=np.int64)
-    init_rsd = np.zeros(num_frames, dtype=np.int64)
-    init_reads = np.zeros(num_frames, dtype=np.int64)
-    init_conc = np.zeros(num_frames, dtype=np.int64)
-    init_checks = np.zeros(num_frames, dtype=np.int64)
-    init_fills = np.zeros(num_frames, dtype=np.int64)
-    init_tick = np.zeros(num_frames, dtype=np.int64)
-    init_valid = np.zeros(num_frames, dtype=bool)
-    final_valid = np.zeros(num_frames, dtype=bool)
-    for set_index in touched_sets:
-        base = set_index * assoc
-        blocks = substrate.cache_set(set_index).blocks
-        for way_index, block in enumerate(blocks):
-            f = base + way_index
-            init_ones[f] = block.ones_count
-            init_unch[f] = block.unchecked_reads
-            init_rsd[f] = block.reads_since_demand
-            init_reads[f] = block.total_reads
-            init_conc[f] = block.total_concealed_reads
-            init_checks[f] = block.total_checks
-            init_fills[f] = block.fills
-            init_tick[f] = block.last_access_tick
-            init_valid[f] = block.valid
-            final_valid[f] = valid_l[f]
-
     # -- frame-chronological event streams ----------------------------------------
-    # Own events: one per access (kind 0 delivery, 1 write hit, 2 fill).
-    # Scrub events (kind 3) happen after the access at the same position.
-    access_kind = np.where(delivery, 0, np.where(write_hit, 1, 2)).astype(np.int64)
+    events = shared.events if shared is not None and not num_visits else None
+    if events is None:
+        events = _event_columns(
+            frame, access.kind, samples, init_ones, num_frames, visits_pos, visits_frame
+        )
+        if shared is not None and not num_visits:
+            shared.events = events
+    f_s = events.f_s
+    kind_s = events.kind_s
+    seg_starts = events.seg_starts
+    seg_frames = events.seg_frames
+    num_events = len(f_s)
     serial_scheme = scheme_mode == _SERIAL
     reap_like = restore or scheme_mode == _REAP
-    own_R = np.zeros(count, dtype=np.int64) if serial_scheme else rr
-    if num_visits:
-        evt_frame = np.concatenate((frame, visits_frame))
-        evt_pos = np.concatenate((np.arange(count, dtype=np.int64), visits_pos))
-        evt_sub = np.concatenate(
-            (np.zeros(count, dtype=np.int64), np.ones(num_visits, dtype=np.int64))
-        )
-        evt_R = np.concatenate((own_R, visits_rank))
-        evt_kind = np.concatenate((access_kind, np.full(num_visits, 3, np.int64)))
-        evt_access = np.concatenate(
-            (np.arange(count, dtype=np.int64), np.full(num_visits, -1, np.int64))
-        )
+    if serial_scheme:
+        # Serial reads check every delivery: no rank ever accumulates.
+        R_s = np.zeros(num_events, dtype=np.int64)
+    elif num_visits:
+        R_s = np.concatenate((rr, visits_rank))[events.perm]
     else:
-        evt_frame, evt_pos, evt_sub = frame, np.arange(count, dtype=np.int64), None
-        evt_R, evt_kind, evt_access = own_R, access_kind, evt_pos
-    if evt_sub is not None:
-        perm = np.lexsort((evt_sub, evt_pos, evt_frame))
-    else:
-        # Positions are already ascending: a stable frame sort is the
-        # (frame, position) order.
-        perm = _stable_argsort(evt_frame, num_frames)
-    f_s = evt_frame[perm]
-    pos_s = evt_pos[perm]
-    R_s = evt_R[perm]
-    kind_s = evt_kind[perm]
-    ai_s = evt_access[perm]
-    num_events = len(f_s)
-
-    new_frame = np.empty(num_events, dtype=bool)
-    new_frame[0] = True
-    new_frame[1:] = f_s[1:] != f_s[:-1]
-    seg_starts = np.flatnonzero(new_frame)
-    seg_frames = f_s[seg_starts]
-    seg_counts = np.diff(np.concatenate((seg_starts, [num_events])))
-    seg_last = seg_starts + seg_counts - 1
+        R_s = rr[events.perm]
 
     # Window deltas: read rank at each event minus the rank at the previous
     # event of the same frame; the first event of a frame is seeded with the
@@ -976,21 +1281,7 @@ def replay_l2_soa(
     prev_R[seg_starts] = first_seed
     delta = R_s - prev_R
 
-    # Ones value just before each event (forward-filled setter values).
-    setter = (kind_s == 1) | (kind_s == 2)
-    setter_ones = np.where(setter, samples[np.maximum(ai_s, 0)], 0)
-    setter_idx = np.where(setter, np.arange(num_events, dtype=np.int64), -1)
-    ffill_idx = np.maximum.accumulate(setter_idx)
-    seg_first_of = np.repeat(seg_starts, seg_counts)
-    has_setter = ffill_idx >= seg_first_of
-    ones_after = np.where(
-        has_setter, setter_ones[np.maximum(ffill_idx, 0)], init_ones[f_s]
-    )
-    ones_before = np.empty(num_events, dtype=np.int64)
-    ones_before[1:] = ones_after[:-1]
-    ones_before[seg_starts] = init_ones[seg_frames]
-
-    first_event = new_frame
+    first_event = events.new_frame
     # Delivery windows and concealed counts per scheme family.
     if scheme_mode == _CONVENTIONAL and not restore:
         win_evt = delta
@@ -1019,19 +1310,8 @@ def replay_l2_soa(
     else:
         evicted_unch_evt = delta
 
-    # Scatter the event columns back to access order (own events only).
-    own_mask_s = kind_s < 3
-    own_ai = ai_s[own_mask_s]
-    win_acc = np.zeros(count, dtype=np.int64)
-    conc_acc = np.zeros(count, dtype=np.int64)
-    ones_at_acc = np.zeros(count, dtype=np.int64)
-    evicted_unch_acc = np.zeros(count, dtype=np.int64)
-    win_acc[own_ai] = win_evt[own_mask_s]
-    conc_acc[own_ai] = conc_evt[own_mask_s]
-    ones_at_acc[own_ai] = ones_before[own_mask_s]
-    evicted_unch_acc[own_ai] = evicted_unch_evt[own_mask_s]
-
     # -- deferred probability events, statistics and tracker ----------------------
+    ones_at_acc = events.ones_at_acc
     wb_mask = (
         evicted & evict_dirty & (ones_at_acc > 0)
         if cache.count_writeback_checks
@@ -1043,27 +1323,31 @@ def replay_l2_soa(
         else (_SERIAL if serial_scheme else _CONVENTIONAL)
     )
     ef_mask = delivery | wb_mask
-    ef_kind = np.where(delivery, delivery_kind, _WRITEBACK)[ef_mask]
+    ef_delivery = delivery[ef_mask]
+    ef_events = events.event_of_access[ef_mask]
+    ef_win = win_evt[ef_events]
+    ef_evicted = evicted_unch_evt[ef_events] + 1
+    ef_kind = np.where(ef_delivery, delivery_kind, _WRITEBACK)
     ef_ones = ones_at_acc[ef_mask]
-    ef_pwin = np.where(
-        delivery, 1 if serial_scheme else win_acc, evicted_unch_acc + 1
-    )[ef_mask]
-    ef_cwin = np.where(delivery, win_acc, evicted_unch_acc + 1)[ef_mask]
+    ef_pwin = np.where(ef_delivery, 1 if serial_scheme else ef_win, ef_evicted)
+    ef_cwin = np.where(ef_delivery, ef_win, ef_evicted)
 
     probabilities = resolve_probability_keys(engine, ef_kind, ef_ones, ef_pwin)
     rel_stats.record_check_array(ef_cwin, probabilities)
+    num_deliveries = int(np.count_nonzero(delivery))
     if scheme_mode == _CONVENTIONAL and not restore:
-        concealed_events = int(nvb[is_read].sum() - np.count_nonzero(delivery))
+        concealed_events = int(nvb[is_read].sum()) - num_deliveries
         rel_stats.record_concealed(concealed_events)
     if reap_like:
-        rel_stats.scrub_events += int(
-            nvb[is_read].sum() - np.count_nonzero(delivery)
-        )
+        rel_stats.scrub_events += int(nvb[is_read].sum()) - num_deliveries
     elif scrubbing:
         rel_stats.scrub_events += num_visits
     tracker = engine.tracker
     if tracker is not None:
-        tracker.record_sample_arrays(conc_acc[delivery], ones_at_acc[delivery])
+        delivery_events = events.event_of_access[delivery]
+        tracker.record_sample_arrays(
+            conc_evt[delivery_events], ones_at_acc[delivery]
+        )
 
     # -- restore: per-way rewrite probabilities, in (access, way) order -----------
     if restore:
@@ -1071,33 +1355,30 @@ def replay_l2_soa(
             cache,
             count,
             assoc,
-            order_by_set,
-            sorted_read,
+            access.order_by_set,
+            access.sorted_read,
             reads_per_set,
             rr,
             seg_frames,
             seg_starts,
             f_s,
-            pos_s,
+            events.pos_s,
             kind_s,
-            setter,
-            setter_ones,
+            events.setter,
+            events.setter_ones,
             init_ones,
             init_valid,
             frame,
-            hit_mask,
+            ~miss_mask,
         )
 
-    # -- energy: reconstruct the per-access addend sequences ----------------------
+    # -- energy: every accumulator's per-access addend sequence -------------------
     model = cache.energy_model
     tag_e = model.tag_lookup_energy_pj()
     way_e = model.way_read_energy_pj()
     dec_e = model.ecc_decode_energy_pj()
     mux_e = model.mux_energy_pj()
     write_breakdown = model.write_access_energy()
-    wtag_e = write_breakdown.tag_pj
-    wdata_e = write_breakdown.data_array_pj
-    wecc_e = write_breakdown.ecc_pj
     way_write_e = model.way_write_energy_pj()
     enc_e = model.ecc_encode_energy_pj()
 
@@ -1105,66 +1386,42 @@ def replay_l2_soa(
         ways_read = np.where(is_read, nvb, 0)
         decodes = ways_read
     elif serial_scheme:
-        ways_read = np.where(delivery, 1, 0)
+        ways_read = delivery.astype(np.int64)
         decodes = ways_read
     else:
         ways_read = np.where(is_read, nvb, 0)
-        decodes = np.where(delivery, 1, 0)
+        decodes = delivery.astype(np.int64)
     data_way_reads = int(ways_read.sum())
     ecc_decodes = int(decodes.sum())
 
-    read_count = is_read.astype(np.int64)
-    wh_or_miss = (write_hit | miss_mask).astype(np.int64)
-    dirty_evt = evict_dirty.astype(np.int64)
-    visit_counts = (
-        np.bincount(visits_pos, minlength=count)
-        if num_visits
-        else np.zeros(count, dtype=np.int64)
-    )
-    restore_counts = np.where(is_read, nvb, 0) if restore else None
-
-    totals.tag_pj = _sequential_total(
-        totals.tag_pj,
-        _slot_values(count, tag_e, wtag_e, tag_e, tag_e),
-        np.stack((read_count, wh_or_miss, dirty_evt, visit_counts), axis=1),
-    )
-    totals.data_read_pj = _sequential_total(
-        totals.data_read_pj,
-        _slot_values(count, ways_read * way_e, way_e, way_e),
-        np.stack((read_count, dirty_evt, visit_counts), axis=1),
-    )
-    if restore:
-        totals.data_write_pj = _sequential_total(
-            totals.data_write_pj,
-            _slot_values(count, way_write_e, wdata_e),
-            np.stack((restore_counts, wh_or_miss), axis=1),
-        )
-        totals.ecc_encode_pj = _sequential_total(
-            totals.ecc_encode_pj,
-            _slot_values(count, enc_e, wecc_e),
-            np.stack((restore_counts, wh_or_miss), axis=1),
+    if restore or num_visits:
+        later = evict_dirty.astype(np.int64)
+        if num_visits:
+            later += np.bincount(visits_pos, minlength=count)
+        tag_runs, demand_runs, write_runs = _energy_layouts(
+            is_read, ~delivery, later, np.where(is_read, nvb, 0) if restore else 0
         )
     else:
-        totals.data_write_pj = _sequential_total(
-            totals.data_write_pj, _slot_values(count, wdata_e), wh_or_miss
-        )
-        totals.ecc_encode_pj = _sequential_total(
-            totals.ecc_encode_pj, _slot_values(count, wecc_e), wh_or_miss
-        )
-    totals.ecc_decode_pj = _sequential_total(
-        totals.ecc_decode_pj,
-        _slot_values(count, decodes * dec_e, dec_e, dec_e),
-        np.stack((read_count, dirty_evt, visit_counts), axis=1),
+        tag_runs, demand_runs, write_runs = access.energy_layouts
+    totals.tag_pj = _fold_runs(
+        totals.tag_pj, tag_runs, tag_e, write_breakdown.tag_pj
     )
-    totals.mux_pj = _sequential_total(
-        totals.mux_pj,
-        _slot_values(count, mux_e, mux_e, mux_e),
-        np.stack((read_count, dirty_evt, visit_counts), axis=1),
+    totals.data_read_pj = _fold_runs(
+        totals.data_read_pj, demand_runs, way_e, ways_read[is_read] * way_e
     )
+    totals.data_write_pj = _fold_runs(
+        totals.data_write_pj, write_runs, way_write_e, write_breakdown.data_array_pj
+    )
+    totals.ecc_encode_pj = _fold_runs(
+        totals.ecc_encode_pj, write_runs, enc_e, write_breakdown.ecc_pj
+    )
+    totals.ecc_decode_pj = _fold_runs(
+        totals.ecc_decode_pj, demand_runs, dec_e, decodes[is_read] * dec_e
+    )
+    totals.mux_pj = _fold_runs(totals.mux_pj, (demand_runs[0], None), mux_e)
 
     # -- functional statistics ----------------------------------------------------
     num_reads = int(np.count_nonzero(is_read))
-    num_deliveries = int(np.count_nonzero(delivery))
     num_write_hits = int(np.count_nonzero(write_hit))
     num_misses = count - num_deliveries - num_write_hits
     stats.demand_reads += num_reads
@@ -1185,25 +1442,12 @@ def replay_l2_soa(
     scheme_tick0 = cache._tick  # noqa: SLF001 - engine-internal state sync
     substrate_tick0 = substrate._tick  # noqa: SLF001 - engine-internal state sync
 
-    # Per-frame aggregates over the event segments.
-    last_any = np.full(num_frames, -1, dtype=np.int64)
-    last_any[seg_frames] = seg_last
-    last_own_seg = _segment_last_where(own_mask_s, seg_starts)
-    last_own = np.full(num_frames, -1, dtype=np.int64)
-    last_own[seg_frames] = last_own_seg
-    first_fill_seg = np.full(len(seg_frames), -1, dtype=np.int64)
-    fill_flags = kind_s == 2
-    if fill_flags.any():
-        first_idx = np.where(
-            fill_flags, np.arange(num_events, dtype=np.int64), num_events
-        )
-        first_fill_seg = np.minimum.reduceat(first_idx, seg_starts)
-        first_fill_seg = np.where(first_fill_seg == num_events, -1, first_fill_seg)
-    first_fill = np.full(num_frames, -1, dtype=np.int64)
-    first_fill[seg_frames] = first_fill_seg
-
-    deliveries_per_frame = np.bincount(frame[delivery], minlength=num_frames)
-    fills_per_frame = np.bincount(frame[miss_mask], minlength=num_frames)
+    pos_s = events.pos_s
+    last_any = events.last_any
+    last_own = events.last_own
+    first_fill = events.first_fill
+    last_read_pos = access.last_read_pos
+    deliveries_per_frame = access.deliveries_per_frame
     scrubs_per_frame = (
         np.bincount(visits_frame, minlength=num_frames)
         if num_visits
@@ -1240,7 +1484,7 @@ def replay_l2_soa(
         scrubs_after_own = np.zeros(num_frames, dtype=np.int64)
 
     final_ones = np.where(
-        has_any, ones_after[np.maximum(last_any, 0)], init_ones
+        has_any, events.ones_after[np.maximum(last_any, 0)], init_ones
     )
     if scheme_mode == _CONVENTIONAL and not restore:
         final_unch = np.where(resident_mask, r_end - r_at_last_any, init_unch)
@@ -1309,7 +1553,7 @@ def replay_l2_soa(
     reads_l = (init_reads + reads_gain)[touched_frames].tolist()
     conc_l = (init_conc + conc_gain)[touched_frames].tolist()
     checks_l = (init_checks + checks_gain)[touched_frames].tolist()
-    fills_l = (init_fills + fills_per_frame)[touched_frames].tolist()
+    fills_l = (init_fills + access.fills_per_frame)[touched_frames].tolist()
     tick_l = final_tick[touched_frames].tolist()
     for touch_index, set_index in enumerate(touched_sets):
         base = set_index * assoc

@@ -20,20 +20,39 @@ while the global trace still looks like a realistic mixed access stream.
 
 Generation is columnar and builds no per-access object:
 
-1. each set's builder returns plain ``(is_write, tag)`` lists, drawing its
-   random numbers one at a time in a fixed order (the draws of different
-   decisions interleave, so the order is part of the output);
+1. each set's builder returns its ``(is_write, tag)`` NumPy columns;
 2. the streams' columns are concatenated and every address is composed in
    one :meth:`~repro.cache.address.AddressMapper.compose_batch` call;
 3. the merge shuffles one array of stream identifiers and scatters the
    concatenated columns through its stable argsort;
 4. the result is a :meth:`Trace.from_columns` trace, whose records are only
    built if a caller asks for them.
+
+The draw contract is the one of the original per-access builders: every
+random number comes from the trace's one ``numpy.random.Generator`` (always
+PCG64, seeded by :func:`generate_l2_trace`) in a fixed order, and the draws
+of different decisions interleave, so that order is part of the output
+(``tests/workloads/golden_traces.json`` pins it).  The builders draw in
+batches without changing it:
+
+* a stable set's hot run between two cold re-reads takes one
+  ``rng.random(run)`` call, which yields the values ``run`` scalar
+  ``rng.random()`` calls would; the cold gaps stay scalar draws between
+  the runs;
+* a churn stream pulls raw 64-bit PCG64 words once with
+  ``bit_generator.random_raw`` and replays numpy's own arithmetic on them
+  (:func:`_churn_decisions`): ``random()`` is ``(word >> 11) * 2**-53``,
+  ``integers(k)`` is Lemire's bounded method on 32-bit halves, buffered
+  the way numpy buffers them and with its rejection loop, and
+  ``integers(1)`` draws nothing.  The generator is then set to exactly the
+  state the scalar draws leave: the snapshot advanced by the words used,
+  with the half-word buffer and its value.
+
+``tests/workloads/test_generator_oracle.py`` keeps the scalar builders as an
+oracle and checks columns and generator state after every stream.
 """
 
 from __future__ import annotations
-
-from itertools import chain
 
 import numpy as np
 
@@ -96,7 +115,7 @@ class _SetStreamBuilder:
         self._live_tags.add(tag)
         return tag
 
-    def stable_stream(self, length: int) -> tuple[list[bool], list[int]]:
+    def stable_stream(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Stream for a stable set: hot re-reads plus scheduled cold re-reads.
 
         Sampled cold gaps are capped at half the per-set stream length so that
@@ -104,76 +123,119 @@ class _SetStreamBuilder:
         observed concealed-read tail therefore grows with trace length, just
         as the paper's tails grow with the simulated instruction count.
 
+        The write draws of a hot run between two cold re-reads come from one
+        ``rng.random(run)`` call, which yields exactly the values the run's
+        scalar ``rng.random()`` calls would; only the cold gaps are sampled
+        one at a time, between the runs, as before.
+
         Returns:
             The ``(is_write, tag)`` columns of the set's ``length`` accesses.
         """
         profile = self._profile
-        random = self._rng.random
-        write_fraction = profile.write_fraction
-        gap_cap = max(length // 2, 1)
         hot_tags = [self._claim_tag() for _ in range(profile.hot_lines_per_set)]
         cold_tags = [self._claim_tag() for _ in range(profile.cold_lines_per_set)]
+        gap_cap = max(length // 2, 1)
 
-        # Install the resident lines up front so later accesses hit.
-        tags = hot_tags + cold_tags
-        is_write = [False] * len(tags)
-
+        # The resident lines are installed up front so later accesses hit.
+        installed = len(hot_tags) + len(cold_tags)
         # Schedule the next re-read time (in set accesses) of each cold line.
-        installed = len(tags)
         cold_next = [installed + min(self._sample_gap(), gap_cap) for _ in cold_tags]
         next_due = min(cold_next, default=length)
 
-        hot_count = len(hot_tags)
-        hot_cursor = 0
+        cold_positions: list[int] = []
+        cold_reads: list[int] = []
+        hot_draws: list[np.ndarray] = []
         position = installed
         while position < length:
             if next_due <= position:
                 # The lowest-numbered cold line that is due is re-read.
                 index = next(i for i, when in enumerate(cold_next) if when <= position)
-                tags.append(cold_tags[index])
-                is_write.append(False)
+                cold_positions.append(position)
+                cold_reads.append(cold_tags[index])
                 position += 1
                 cold_next[index] = position + min(self._sample_gap(), gap_cap)
                 next_due = min(cold_next)
                 continue
-            tags.append(hot_tags[hot_cursor % hot_count])
-            hot_cursor += 1
-            is_write.append(random() < write_fraction)
-            position += 1
+            run = min(next_due, length) - position
+            hot_draws.append(self._rng.random(run))
+            position += run
+
+        size = max(length, installed)
+        tags = np.empty(size, dtype=np.int64)
+        is_write = np.zeros(size, dtype=bool)
+        tags[:installed] = hot_tags + cold_tags
+        tags[cold_positions] = cold_reads
+        hot = np.ones(size, dtype=bool)
+        hot[:installed] = False
+        hot[cold_positions] = False
+        hot_positions = np.flatnonzero(hot)
+        hot_cycle = np.arange(len(hot_positions)) % len(hot_tags)
+        tags[hot_positions] = np.array(hot_tags, dtype=np.int64)[hot_cycle]
+        if hot_draws:
+            is_write[hot_positions] = np.concatenate(hot_draws) < profile.write_fraction
         return is_write[:length], tags[:length]
 
-    def churn_stream(self, length: int) -> tuple[list[bool], list[int]]:
+    def churn_stream(self, length: int) -> tuple[np.ndarray, np.ndarray]:
         """Stream for a churn set: streaming misses plus short-distance reuse.
+
+        Access ``i`` draws ``random() < write_fraction``; then, with
+        ``reuse = min(i, churn_reuse_window)`` recent accesses to pick from,
+        ``random() < churn_miss_fraction`` decides a streaming miss (a fresh
+        tag) and otherwise ``integers(reuse)`` names the re-read one.  The
+        draws are replayed from raw generator words
+        (:func:`_churn_decisions`); the tags are resolved afterwards.
 
         Returns:
             The ``(is_write, tag)`` columns of the set's ``length`` accesses.
         """
         profile = self._profile
-        random = self._rng.random
-        integers = self._rng.integers
-        write_fraction = profile.write_fraction
-        miss_fraction = profile.churn_miss_fraction
         window = profile.churn_reuse_window
-        claim = self._claim_tag
+        is_write, claims, source = _churn_decisions(
+            self._rng,
+            length,
+            window,
+            profile.write_fraction,
+            profile.churn_miss_fraction,
+        )
+        first = self._next_fresh_tag
+        last = first + int(np.count_nonzero(claims)) - 1
+        if last > self._max_tag or any(tag >= first for tag in self._live_tags):
+            return is_write, self._claim_walk(claims, source, window)
+        # The counter cannot wrap, so the fresh tags are first, first + 1,
+        # ...  A re-read takes the tag of its source access; pointer jumping
+        # follows each chain of re-reads back to the miss that claimed it.
+        origin = np.where(claims, np.arange(length), source)
+        while True:
+            hop = origin[origin]
+            if np.array_equal(hop, origin):
+                break
+            origin = hop
+        tags = (first - 1 + np.cumsum(claims))[origin]
+        self._next_fresh_tag = last + 1 if last < self._max_tag else 1
+        if window:
+            # What the claim/release walk leaves live: the window's tags.
+            self._live_tags.update(tags[max(length - window, 0) :].tolist())
+        return is_write, tags
+
+    def _claim_walk(
+        self, claims: np.ndarray, source: np.ndarray, window: int
+    ) -> np.ndarray:
+        """Tags of a churn stream whose fresh-tag counter may wrap around.
+
+        Claims tags one access at a time and frees each tag that leaves the
+        reuse window without being re-read, so a wrapped counter skips only
+        the tags still live (and raises once every usable tag is).
+        """
+        tags = [0] * len(claims)
         live = self._live_tags
-        tags: list[int] = []
-        is_write: list[bool] = []
-        # The reuse window before access ``i`` is ``tags[i - reuse : i]``.
-        for i in range(length):
-            is_write.append(random() < write_fraction)
-            reuse = min(i, window)
-            if not reuse or random() < miss_fraction:
-                tag = claim()
-            else:
-                # Draws exactly what ``rng.choice(window tags)`` would.
-                tag = tags[i - reuse + int(integers(reuse))]
-            tags.append(tag)
+        for i, (claim, j) in enumerate(zip(claims.tolist(), source.tolist())):
+            tags[i] = self._claim_tag() if claim else tags[j]
             if i >= window:
                 # The oldest tag leaves the window; free it unless reused.
                 expired = tags[i - window]
-                if expired not in tags[i - window + 1 :]:
+                if expired not in tags[i - window + 1 : i + 1]:
                     live.discard(expired)
-        return is_write, tags
+        return np.array(tags, dtype=np.int64)
 
     def _sample_gap(self) -> int:
         profile = self._profile
@@ -184,6 +246,221 @@ class _SetStreamBuilder:
                 mean=np.log(profile.cold_gap_median), sigma=profile.cold_gap_sigma
             )
         return max(int(round(gap)), 1)
+
+
+#: numpy's ``random()`` maps a 64-bit word ``w`` to ``(w >> 11) * 2**-53``.
+_DOUBLE_UNIT = 1.0 / 9007199254740992.0
+_LOW_HALF = 0xFFFFFFFF
+
+
+class _RawWords:
+    """PCG64 output words drawn ahead of the draws that will consume them."""
+
+    def __init__(self, bit_generator: np.random.PCG64, count: int) -> None:
+        self._bit_generator = bit_generator
+        self.raw = np.zeros(0, dtype=np.uint64)
+        self.uniform = np.zeros(0, dtype=np.float64)
+        self.ensure(count)
+
+    def ensure(self, count: int) -> None:
+        """Hold at least ``count`` words (later words follow on in order)."""
+        missing = count - len(self.raw)
+        if missing > 0:
+            more = self._bit_generator.random_raw(max(missing, len(self.raw)))
+            self.raw = np.concatenate((self.raw, more))
+            self.uniform = np.concatenate(
+                (self.uniform, (more >> np.uint64(11)) * _DOUBLE_UNIT)
+            )
+
+
+def _churn_decisions(
+    rng: np.random.Generator,
+    length: int,
+    window: int,
+    write_fraction: float,
+    miss_fraction: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of a churn stream, replayed from raw PCG64 words.
+
+    Per access ``i``, with ``reuse = min(i, window)``, the scalar loop draws
+    ``random() < write_fraction``, then (if ``reuse``) ``random() <
+    miss_fraction``, then (if no miss) ``integers(reuse)``.  Those are
+    replayed here from words pulled once with ``random_raw``, using numpy's
+    own arithmetic: ``random()`` takes a word; ``integers(k)`` takes a
+    32-bit half -- the buffered high half of an earlier word if one is
+    waiting, else the low half of a new word, whose high half is buffered
+    -- and applies Lemire's bounded method with its rejection loop, while
+    ``integers(1)`` consumes nothing.  Afterwards the generator is put into
+    exactly the state the scalar draws leave: the snapshot advanced by the
+    words used, with the half-word buffer set.
+
+    Only the buffer parity and the miss words decide how many words an
+    access consumes, so after the first two accesses every access's start
+    word follows from a transition table over ``(word, buffered)`` states,
+    walked for the whole stream by pointer jumping.  The first two
+    accesses, and any access whose integer draw is rejected (probability
+    below ``7 / 2**32`` per draw), are replayed one at a time.
+
+    Returns:
+        ``(is_write, claims, source)``: per access, whether it writes,
+        whether it claims a fresh tag, and otherwise the index of the
+        earlier access whose tag it re-reads.
+
+    Raises:
+        TypeError: if ``rng`` is not driven by :class:`numpy.random.PCG64`.
+    """
+    bit_generator = rng.bit_generator
+    if type(bit_generator) is not np.random.PCG64:
+        raise TypeError(
+            "churn draws are replayed from PCG64 words; got "
+            f"{type(bit_generator).__name__}"
+        )
+    is_write = np.zeros(length, dtype=bool)
+    claims = np.ones(length, dtype=bool)
+    source = np.zeros(length, dtype=np.int64)
+    snapshot = bit_generator.state
+    words = _RawWords(bit_generator, 3 * length + 3)
+    # Generator position: words consumed, and the 32-bit buffer (whose
+    # value numpy keeps, stale, after it has been used).
+    position = 0
+    buffered = bool(snapshot["has_uint32"])
+    half = int(snapshot["uinteger"])
+
+    def one_access(i: int) -> None:
+        nonlocal position, buffered, half
+        words.ensure(position + 2)
+        is_write[i] = words.uniform[position] < write_fraction
+        position += 1
+        reuse = min(i, window)
+        claims[i] = True
+        if not reuse:
+            return
+        claims[i] = words.uniform[position] < miss_fraction
+        position += 1
+        if claims[i]:
+            return
+        draw = 0
+        if reuse > 1:
+            threshold = (1 << 32) % reuse
+            while True:
+                if buffered:
+                    value, buffered = half, False
+                else:
+                    words.ensure(position + 1)
+                    word = int(words.raw[position])
+                    position += 1
+                    value, half, buffered = word & _LOW_HALF, word >> 32, True
+                product = value * reuse
+                if (product & _LOW_HALF) >= threshold:
+                    draw = product >> 32
+                    break
+        source[i] = i - reuse + draw
+
+    i = 0
+    while i < length:
+        if i < min(window, 2):
+            one_access(i)
+            i += 1
+            continue
+        # The rest of the stream in one pass, up to a rejected integer draw.
+        count = length - i
+        words.ensure(position + 3 * count + 3)
+        uniform = words.uniform[position:]
+        starts, flags = _churn_path(uniform, count, window, miss_fraction, buffered)
+        at = starts[:count]
+        is_write[i:] = uniform[at] < write_fraction
+        if window:
+            missed = uniform[at + 1] < miss_fraction
+            claims[i:] = missed
+            source[i:] = np.arange(i - 1, length - 1)  # window 1: the last access
+        if window > 1:
+            draws = np.flatnonzero(~missed)
+            from_buffer = flags[draws].astype(bool)
+            pulled = words.raw[position + at[draws] + 2]
+            # The buffer before each draw: the high half of the last word an
+            # earlier draw pulled (draws alternate between pulling and using).
+            last_pull = np.maximum.accumulate(
+                np.where(from_buffer, -1, np.arange(len(draws)))
+            )
+            after = np.where(
+                last_pull >= 0, pulled[last_pull] >> 32, np.uint64(half)
+            )
+            before = np.concatenate((np.array([half], dtype=np.uint64), after[:-1]))
+            value = np.where(from_buffer, before, pulled & _LOW_HALF)
+            reuse = np.minimum(draws + i, window).astype(np.uint64)
+            product = value * reuse
+            rejected = (product & _LOW_HALF) < np.uint64(1 << 32) % reuse
+            source[i + draws] = (
+                draws + i - reuse.astype(np.int64) + (product >> 32).astype(np.int64)
+            )
+            if rejected.any():
+                first = int(np.argmax(rejected))
+                stop = int(draws[first])
+                position += int(at[stop])
+                buffered = bool(flags[stop])
+                half = int(before[first])
+                one_access(i + stop)
+                i += stop + 1
+                continue
+            if len(draws):
+                half = int(after[-1])
+        position += int(starts[count])
+        buffered = bool(flags[count])
+        i = length
+
+    bit_generator.state = snapshot
+    bit_generator.advance(position)
+    state = bit_generator.state
+    state["has_uint32"] = int(buffered)
+    state["uinteger"] = half
+    bit_generator.state = state
+    return is_write, claims, source
+
+
+def _churn_path(
+    uniform: np.ndarray, count: int, window: int, miss_fraction: float, buffered: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start word and buffer flag of ``count`` churn accesses, plus the end.
+
+    An access past the first two starting at word ``p`` takes its write
+    word and, with a window, its miss word ``p + 1``; if that does not miss
+    and the window exceeds one, its integer draw pulls word ``p + 2`` when
+    the buffer is empty and empties the buffer otherwise.  That fixes a
+    transition table over the states ``2 * p + buffered``.  Pointer jumping
+    squares the table ``log2(count)`` times; expanding the start state
+    through the squared tables, largest first, interleaves the visited
+    states in stream order.
+
+    Returns:
+        ``(starts, flags)`` of length ``count + 1``, relative to
+        ``uniform[0]``; the last entry is the state after the stream.
+    """
+    num_words = len(uniform)
+    word = np.arange(num_words)
+    width = 1 + (window > 0)
+    draws = np.zeros(num_words, dtype=bool)
+    if window > 1:
+        draws[:-1] = uniform[1:] >= miss_fraction
+    # An access needs up to three words: states nearer the end (never
+    # reached within the stream) lead to a sink.
+    sink = 2 * num_words
+    table = np.empty(sink + 1, dtype=np.int64)
+    pulled = word + width + draws
+    table[0:-1:2] = np.where(pulled < num_words - 2, 2 * pulled + draws, sink)
+    kept = word + width
+    table[1:-1:2] = np.where(kept < num_words - 2, 2 * kept + ~draws, sink)
+    table[sink] = sink
+    tables = [table]
+    for _ in range(count.bit_length() - 1):
+        tables.append(tables[-1][tables[-1]])
+    path = np.array([int(buffered)], dtype=np.int64)
+    for table in reversed(tables):
+        doubled = np.empty(2 * len(path), dtype=np.int64)
+        doubled[0::2] = path
+        doubled[1::2] = table[path]
+        path = doubled
+    path = path[: count + 1]
+    return path >> 1, path & 1
 
 
 def generate_l2_trace(
@@ -230,7 +507,7 @@ def generate_l2_trace(
     churn_budget = num_accesses - stable_budget
 
     # One (set index, is_write column, tag column) entry per non-empty stream.
-    streams: list[tuple[int, list[bool], list[int]]] = []
+    streams: list[tuple[int, np.ndarray, np.ndarray]] = []
     if stable_sets and stable_budget > 0:
         per_set = _split_budget(stable_budget, len(stable_sets), rng)
         for set_index, length in zip(stable_sets, per_set):
@@ -248,9 +525,8 @@ def generate_l2_trace(
 
     set_indices, write_columns, tag_columns = zip(*streams)
     lengths = [len(column) for column in tag_columns]
-    total = sum(lengths)
-    is_write = np.fromiter(chain.from_iterable(write_columns), dtype=bool, count=total)
-    tags = np.fromiter(chain.from_iterable(tag_columns), dtype=np.int64, count=total)
+    is_write = np.concatenate(write_columns)
+    tags = np.concatenate(tag_columns)
     indices = np.repeat(np.array(set_indices, dtype=np.int64), lengths)
     addresses = mapper.compose_batch(tags, indices)
     kinds = np.where(is_write, _L2_WRITE, _L2_READ).astype(np.int8)

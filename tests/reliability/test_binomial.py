@@ -259,3 +259,40 @@ class TestVectorisedProbabilities:
             block_failure_probabilities(1e-8, np.array([1]), correctable=-1)
         with pytest.raises(ConfigurationError):
             binomial_tail_ge_array(np.array([-1]), 0.5, 1)
+
+
+class TestResolveUniqueKeys:
+    """Packed-key deduplication equals a row-wise ``np.unique``, dense or not."""
+
+    @staticmethod
+    def assert_matches_unique(columns):
+        from repro.reliability.binomial import resolve_unique_keys
+
+        unique_columns, inverse = resolve_unique_keys(*columns)
+        rows = np.stack(columns, axis=1)
+        expected, expected_inverse = np.unique(rows, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(np.stack(unique_columns, axis=1), expected)
+        np.testing.assert_array_equal(inverse, expected_inverse.reshape(-1))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 400),
+        highs=st.lists(st.integers(0, 1 << 20), min_size=1, max_size=3),
+        lows=st.lists(st.integers(0, 1 << 20), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_numpy_unique(self, rows, highs, lows, seed):
+        # Narrow ranges take the sort-free dense path, wide ones the sort.
+        rng = np.random.default_rng(seed)
+        columns = [
+            rng.integers(low, low + high + 1, size=rows)
+            for low, high in zip(lows, highs)
+        ]
+        self.assert_matches_unique(columns)
+
+    def test_dense_and_sparse_delivery_keys(self):
+        rng = np.random.default_rng(3)
+        kinds = rng.choice([0, 3], size=5_000)
+        windows = rng.integers(1, 400, size=5_000)
+        self.assert_matches_unique([kinds, np.full(5_000, 100), windows])
+        self.assert_matches_unique([kinds, np.full(5_000, 100), windows << 30])

@@ -74,6 +74,12 @@ class CountingMemo(FrameMemo):
         self.puts += 1
         super().put(key, frames)
 
+    def find_stream(self, geometry, packed_keys, codes, samples):
+        # Serve no shared pass-2 entry, so every run here takes the
+        # frame-column path these tests pin; test_shared_pass2.py covers
+        # the entries.
+        return None
+
 
 def run_fast(scheme, trace, config=None, seed=1, memo=None, **kwargs):
     cache = build_cache(scheme, config=config, seed=seed)

@@ -183,5 +183,5 @@ class TestFreshTagWraparound:
     def test_stable_stream_installs_resident_lines_as_reads(self):
         builder, _ = self._builder()
         is_write, tags = builder.stable_stream(50)
-        assert tags[:3] == [1, 2, 3]
-        assert is_write[:3] == [False, False, False]
+        assert tags[:3].tolist() == [1, 2, 3]
+        assert is_write[:3].tolist() == [False, False, False]
